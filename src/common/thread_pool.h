@@ -66,6 +66,17 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+// pool->ParallelFor(n, fn), or fn(0, n) inline on the calling thread when
+// `pool` is null — the optional-pool idiom of the batched sweeps.
+inline void ParallelForOrInline(ThreadPool* pool, size_t n,
+                                const std::function<void(size_t, size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->ParallelFor(n, fn);
+  } else if (n > 0) {
+    fn(0, n);
+  }
+}
+
 }  // namespace metis
 
 #endif  // METIS_SRC_COMMON_THREAD_POOL_H_

@@ -53,11 +53,7 @@ double OverloadController::Pressure() const {
   if (total > 0) {
     deficit = std::max(0.0, -engine_->projected_free_kv_bytes() / total);
   }
-  double pressure = depth_term + age_term + options_.kv_deficit_weight * deficit;
-  if (options_.service_ref_s > 0) {
-    pressure += service_ewma_ / options_.service_ref_s;
-  }
-  return pressure;
+  return depth_term + age_term + options_.kv_deficit_weight * deficit;
 }
 
 OverloadLevel OverloadController::Assess() {
@@ -115,14 +111,6 @@ bool OverloadController::Admit(int tenant_index, OverloadLevel level) {
 void OverloadController::ObserveConfidence(double confidence) {
   constexpr double kAlpha = 0.2;
   confidence_ewma_ = (1.0 - kAlpha) * confidence_ewma_ + kAlpha * confidence;
-}
-
-void OverloadController::ObserveServiceEstimate(double est_service_s) {
-  if (est_service_s <= 0) {
-    return;  // MedianOfSpace decisions carry no estimate; don't decay toward 0.
-  }
-  constexpr double kAlpha = 0.2;
-  service_ewma_ = (1.0 - kAlpha) * service_ewma_ + kAlpha * est_service_s;
 }
 
 }  // namespace metis

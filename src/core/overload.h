@@ -104,14 +104,6 @@ struct OverloadOptions {
   double queue_depth_ref = 32.0;
   double queue_age_ref_s = 1.0;
   double kv_deficit_weight = 2.0;
-  // Optional fourth pressure term: the co-scheduler's own per-decision service
-  // estimate (SchedulerDecision::est_service_s), EWMA-smoothed, normalized by
-  // this reference. The estimate already folds in prefix-hit discounts and
-  // batch effects the raw queue signals cannot see, so rising predicted
-  // service times flag saturation EARLIER than queue depth does. 0 (default)
-  // disables the term — Pressure() is then bit-identical to the three-term
-  // score (overload_test pins this).
-  double service_ref_s = 0;
 
   // Rung thresholds on the pressure score (ascending).
   double shed_depth_at = 0.75;
@@ -196,12 +188,6 @@ class OverloadController {
   void ObserveConfidence(double confidence);
   double mean_confidence() const { return confidence_ewma_; }
 
-  // Co-scheduler service-estimate signal (S1): the scheduler's predicted
-  // service seconds for each committed decision, EWMA-smoothed into the
-  // Pressure() service term when options.service_ref_s > 0 (inert otherwise).
-  void ObserveServiceEstimate(double est_service_s);
-  double mean_service_estimate() const { return service_ewma_; }
-
   const OverloadOptions& options() const { return options_; }
   const OverloadStats& stats() const { return stats_; }
 
@@ -212,7 +198,6 @@ class OverloadController {
   OverloadOptions options_;
   OverloadStats stats_;
   double confidence_ewma_ = 1.0;
-  double service_ewma_ = 0.0;
   bool in_reject_ = false;
 
   struct Backoff {

@@ -53,8 +53,8 @@ class RetrievalBatcher {
   // batcher's default quality; the second carries a per-QUERY quality (the
   // profiler-driven depth), so one coalesced sweep can mix probe budgets —
   // results stay bit-identical to uncoalesced per-query scans either way
-  // (the index resolves a probe plan per query; see
-  // VectorIndex::SearchBatch's heterogeneous overload).
+  // (the index resolves a probe plan per query; see SearchRequest::qualities
+  // in src/vectordb/vectordb.h).
   void Submit(std::string query_text, size_t k, Callback cb);
   void Submit(std::string query_text, size_t k, const RetrievalQuality& quality, Callback cb);
 

@@ -12,7 +12,7 @@
 // RetrievalDepthPolicy closes the loop: it maps the profiler's QueryProfile to
 // a per-query RetrievalQuality, which the JointScheduler folds into its
 // decision and the SynthesisExecutor / RetrievalBatcher thread down to the
-// index's heterogeneous-quality SearchBatch.
+// index as one SearchRequest quality per query.
 //
 // The documented budget curve (pinned by depth_policy_test):
 //

@@ -209,7 +209,6 @@ void MetisSystem::Accept(const RagQuery& query) {
     bool hybrid_shed = false;
     if (overload_ != nullptr) {
       overload_->ObserveConfidence(outcome.profile.confidence);
-      overload_->ObserveServiceEstimate(decision.est_service_s);
       decision_level = overload_->Assess();
       if (decision_level >= OverloadLevel::kCheapSynthesis) {
         const RagConfig& cheap = overload_->options().cheap_config;

@@ -7,7 +7,6 @@
 #include "src/common/check.h"
 #include "src/vectordb/kernels.h"
 #include "src/vectordb/quantize.h"
-#include "src/vectordb/topk.h"
 
 namespace metis {
 
@@ -60,15 +59,12 @@ const float* MutableIndex::LogRow(size_t pos) const {
   return LogBlock(pos).rows.row(pos % block_rows_);
 }
 
-void MutableIndex::ScanLogRange(size_t lo, size_t hi, const float* q, double qnorm,
-                                const IdFilter& exclude, BoundedTopK& out) const {
+template <typename Fn>
+void MutableIndex::ForEachLogSlice(size_t lo, size_t hi, Fn fn) const {
   for (size_t b = lo / block_rows_; b * block_rows_ < hi; ++b) {
-    const IndexShard& block = *blocks_[b];
-    size_t blo = std::max(lo, b * block_rows_) - b * block_rows_;
-    size_t bhi = std::min(hi, (b + 1) * block_rows_) - b * block_rows_;
-    // block.orders carries the rows' global log positions, so base 0 keeps
-    // log position == candidate order.
-    ScanRowsInto(block.rows, blo, bhi, q, qnorm, block.orders.data(), 0, exclude, out);
+    size_t pos = std::max(lo, b * block_rows_);
+    fn(*blocks_[b], pos - b * block_rows_, std::min(hi, (b + 1) * block_rows_) - b * block_rows_,
+       pos);
   }
 }
 
@@ -193,12 +189,9 @@ void MutableIndex::SealLocked() {
   // always scan exactly.
   if (const IndexQuantizers* qz = base_->quantizers(); qz != nullptr && qz->any()) {
     auto codes = std::make_shared<QuantizedCodes>();
-    for (size_t b = seg.lo / block_rows_; b * block_rows_ < seg.hi; ++b) {
-      const IndexShard& block = *blocks_[b];
-      size_t blo = std::max(seg.lo, b * block_rows_) - b * block_rows_;
-      size_t bhi = std::min(seg.hi, (b + 1) * block_rows_) - b * block_rows_;
-      EncodeRows(*qz, block.rows, blo, bhi, codes.get());
-    }
+    ForEachLogSlice(seg.lo, seg.hi, [&](const IndexShard& block, size_t begin, size_t end, size_t) {
+      EncodeRows(*qz, block.rows, begin, end, codes.get());
+    });
     seg.codes = std::move(codes);
   }
   segments_.push_back(seg);
@@ -466,205 +459,99 @@ void MutableIndex::set_maintenance_pool(ThreadPool* pool) {
 
 // --- Reads -------------------------------------------------------------------
 
-void MutableIndex::ScanLogRangeExact(size_t lo, size_t hi, const float* q, double qnorm,
-                                     const IdFilter& exclude, BoundedQuantTopK& out) const {
-  for (size_t b = lo / block_rows_; b * block_rows_ < hi; ++b) {
-    const IndexShard& block = *blocks_[b];
-    size_t blo = std::max(lo, b * block_rows_) - b * block_rows_;
-    size_t bhi = std::min(hi, (b + 1) * block_rows_) - b * block_rows_;
-    ScanRowsExactInto(block.rows, blo, bhi, q, qnorm, block.orders.data(), 0, exclude, out);
-  }
-}
-
-std::vector<SearchHit> MutableIndex::SearchPinnedQuant(const MutableEpoch& epoch,
-                                                       const Embedding& query, size_t k,
-                                                       RetrievalPrecision tier,
-                                                       const RetrievalQuality& quality) const {
-  IdFilter dead = FilterOf(*epoch.tombstones);
-  double qnorm = SquaredNormBlocked(query.data(), dim_);
-  size_t fetch = k * ResolveRerankFactor(quality);
-  // One over-fetch heap across base + segments + memtable under the (approx
-  // distance, order) total order, then a single exact rerank over the union —
-  // the same merge shape as the exact flow, shifted to candidates.
-  BoundedQuantTopK merged(fetch);
-  if (epoch.base_searchable) {
-    for (const QuantCand& c : epoch.base->SearchQuantCandidates(query, fetch, quality, dead)) {
-      merged.OfferCand(c);
-    }
-  } else {
-    ScanLogRangeExact(0, epoch.base_cut, query.data(), qnorm, dead, merged);
-  }
+std::vector<QuantCand> MutableIndex::EpochCandidates(const MutableEpoch& epoch,
+                                                     const Embedding& query, size_t fetch_k,
+                                                     const RetrievalQuality& quality,
+                                                     const IdFilter& dead) const {
   const IndexQuantizers* qz = epoch.base->quantizers();
-  SqQuery sq;
-  PqQuery pq;
-  if (tier == RetrievalPrecision::kInt8) {
-    BuildSqQuery(qz->sq, query.data(), dim_, &sq);
-  } else {
-    BuildPqQuery(qz->pq, query.data(), dim_, &pq);
-  }
-  for (const MutableSegment& seg : epoch.segments) {
-    if (seg.compacted != nullptr) {
-      const IndexShard& src = *seg.compacted;
-      if (seg.codes != nullptr) {
-        if (tier == RetrievalPrecision::kInt8) {
-          ScanSqRowsInto(*seg.codes, 0, src.rows, 0, src.rows.size(), sq, src.orders.data(), 0,
-                         dead, merged);
-        } else {
-          ScanPqRowsInto(*seg.codes, 0, src.rows, 0, src.rows.size(), pq, qz->pq.m,
-                         src.orders.data(), 0, dead, merged);
-        }
-      } else {
-        ScanRowsExactInto(src.rows, 0, src.rows.size(), query.data(), qnorm, src.orders.data(),
-                          0, dead, merged);
-      }
-    } else if (seg.codes != nullptr) {
-      // Log-range segment: codes cover [seg.lo, seg.hi) sequentially; walk
-      // the underlying blocks with the matching code offset.
-      for (size_t b = seg.lo / block_rows_; b * block_rows_ < seg.hi; ++b) {
-        const IndexShard& block = *blocks_[b];
-        size_t glo = std::max(seg.lo, b * block_rows_);
-        size_t blo = glo - b * block_rows_;
-        size_t bhi = std::min(seg.hi, (b + 1) * block_rows_) - b * block_rows_;
-        size_t code_lo = glo - seg.lo;
-        if (tier == RetrievalPrecision::kInt8) {
-          ScanSqRowsInto(*seg.codes, code_lo, block.rows, blo, bhi, sq, block.orders.data(), 0,
-                         dead, merged);
-        } else {
-          ScanPqRowsInto(*seg.codes, code_lo, block.rows, blo, bhi, pq, qz->pq.m,
-                         block.orders.data(), 0, dead, merged);
-        }
-      }
-    } else {
-      ScanLogRangeExact(seg.lo, seg.hi, query.data(), qnorm, dead, merged);
-    }
-  }
-  // The memtable always scans exactly.
-  ScanLogRangeExact(epoch.memtable_lo, epoch.memtable_hi, query.data(), qnorm, dead, merged);
-  return RerankToHits(merged.DrainCands(), query.data(), qnorm, k);
-}
-
-std::vector<SearchHit> MutableIndex::SearchPinned(const MutableEpoch& epoch,
-                                                  const Embedding& query, size_t k,
-                                                  const RetrievalQuality& quality) const {
-  METIS_CHECK_EQ(query.size(), dim_);
-  if (k == 0) {
-    return {};
-  }
-  RetrievalPrecision tier = ResolveTier(quality, epoch.base->quantizers());
-  if (tier != RetrievalPrecision::kFp32) {
-    return SearchPinnedQuant(epoch, query, k, tier, quality);
-  }
-  IdFilter dead = FilterOf(*epoch.tombstones);
-  double qnorm = SquaredNormBlocked(query.data(), dim_);
+  CandidateScanner scan(ResolveTier(quality, qz), qz, query.data(), dim_);
   // One heap across base + segments + memtable: the (distance, candidate
   // order) total order makes the structure visit order irrelevant, exactly
-  // as it does for shards. Base hits arrive with their own candidate orders,
-  // which are order-isomorphic to (and strictly below) the delta rows' log
-  // positions.
-  BoundedTopK merged(k);
+  // as it does for shards. Base candidates arrive with their own candidate
+  // orders, which are order-isomorphic to (and strictly below) the delta
+  // rows' log positions.
+  BoundedTopK merged(fetch_k);
+  auto scan_log = [&](size_t lo, size_t hi, const QuantizedCodes* codes) {
+    // Log rows carry their log positions as orders, so base 0 keeps log
+    // position == candidate order; codes cover [lo, hi) sequentially.
+    ForEachLogSlice(lo, hi, [&](const IndexShard& block, size_t begin, size_t end, size_t pos) {
+      scan.Scan(codes, pos - lo, block.rows, begin, end, block.orders.data(), 0, dead, merged);
+    });
+  };
   if (epoch.base_searchable) {
-    for (const OrderedHit& h : epoch.base->SearchOrdered(query, k, quality, dead)) {
-      merged.Offer(h.distance, h.order, h.id);
+    for (const QuantCand& c : epoch.base->SearchCandidates(query, fetch_k, quality, dead)) {
+      merged.OfferCand(c);
     }
   } else {
     // Untrained IVF base (empty or pre-finalize corpus): exact scan of its
     // log range.
-    ScanLogRange(0, epoch.base_cut, query.data(), qnorm, dead, merged);
+    scan_log(0, epoch.base_cut, nullptr);
   }
   for (const MutableSegment& seg : epoch.segments) {
     if (seg.compacted != nullptr) {
-      ScanRowsInto(seg.compacted->rows, 0, seg.compacted->orders.size(), query.data(), qnorm,
-                   seg.compacted->orders.data(), 0, dead, merged);
+      const IndexShard& src = *seg.compacted;
+      scan.Scan(seg.codes.get(), 0, src.rows, 0, src.rows.size(), src.orders.data(), 0, dead,
+                merged);
     } else {
-      ScanLogRange(seg.lo, seg.hi, query.data(), qnorm, dead, merged);
+      scan_log(seg.lo, seg.hi, seg.codes.get());
     }
   }
-  ScanLogRange(epoch.memtable_lo, epoch.memtable_hi, query.data(), qnorm, dead, merged);
-  return merged.Drain();
+  // The memtable is never encoded: it always scans exactly.
+  scan_log(epoch.memtable_lo, epoch.memtable_hi, nullptr);
+  return merged.DrainCands();
 }
 
-std::vector<SearchHit> MutableIndex::SearchFiltered(const Embedding& query, size_t k,
-                                                    const RetrievalQuality& quality,
-                                                    const IdFilter& exclude) const {
+namespace {
+
+// The epoch's tombstones unioned with a caller's exclusion set (both
+// sorted), so one binary-searchable filter serves every scan. `storage`
+// backs the union when there is one.
+IdFilter DeadFilter(const MutableEpoch& epoch, const IdFilter& exclude,
+                    std::vector<ChunkId>* storage) {
+  if (exclude.empty()) {
+    return FilterOf(*epoch.tombstones);
+  }
+  storage->resize(epoch.tombstones->size() + static_cast<size_t>(exclude.end - exclude.begin));
+  storage->erase(std::set_union(epoch.tombstones->begin(), epoch.tombstones->end(), exclude.begin,
+                                exclude.end, storage->begin()),
+                 storage->end());
+  return FilterOf(*storage);
+}
+
+}  // namespace
+
+std::vector<QuantCand> MutableIndex::SearchCandidates(const Embedding& query, size_t fetch_k,
+                                                      const RetrievalQuality& quality,
+                                                      const IdFilter& exclude) const {
   METIS_CHECK_EQ(query.size(), dim_);
-  if (k == 0) {
-    return {};
-  }
   std::shared_ptr<const MutableEpoch> epoch = PinEpoch();
-  // Union the epoch's tombstones with the caller's exclusion set (both
-  // sorted), so one binary-searchable filter serves every scan below.
-  std::vector<ChunkId> dead_union(epoch->tombstones->size() +
-                                  static_cast<size_t>(exclude.end - exclude.begin));
-  dead_union.erase(std::set_union(epoch->tombstones->begin(), epoch->tombstones->end(),
-                                  exclude.begin, exclude.end, dead_union.begin()),
-                   dead_union.end());
-  IdFilter dead = FilterOf(dead_union);
-  // Filtered scans are always exact: strip any quantized-tier request.
-  RetrievalQuality exact = quality;
-  exact.precision = RetrievalPrecision::kFp32;
-  double qnorm = SquaredNormBlocked(query.data(), dim_);
-  BoundedTopK merged(k);
-  if (epoch->base_searchable) {
-    for (const OrderedHit& h : epoch->base->SearchOrdered(query, k, exact, dead)) {
-      merged.Offer(h.distance, h.order, h.id);
-    }
-  } else {
-    ScanLogRange(0, epoch->base_cut, query.data(), qnorm, dead, merged);
-  }
-  for (const MutableSegment& seg : epoch->segments) {
-    if (seg.compacted != nullptr) {
-      ScanRowsInto(seg.compacted->rows, 0, seg.compacted->orders.size(), query.data(), qnorm,
-                   seg.compacted->orders.data(), 0, dead, merged);
-    } else {
-      ScanLogRange(seg.lo, seg.hi, query.data(), qnorm, dead, merged);
-    }
-  }
-  ScanLogRange(epoch->memtable_lo, epoch->memtable_hi, query.data(), qnorm, dead, merged);
-  return merged.Drain();
+  std::vector<ChunkId> storage;
+  return EpochCandidates(*epoch, query, fetch_k, quality, DeadFilter(*epoch, exclude, &storage));
 }
 
-std::vector<SearchHit> MutableIndex::Search(const Embedding& query, size_t k) const {
-  return Search(query, k, RetrievalQuality{});
-}
-
-std::vector<SearchHit> MutableIndex::Search(const Embedding& query, size_t k,
-                                            const RetrievalQuality& quality) const {
-  return SearchPinned(*PinEpoch(), query, k, quality);
-}
-
-std::vector<std::vector<SearchHit>> MutableIndex::SearchBatch(const std::vector<Embedding>& queries,
-                                                              size_t k, ThreadPool* pool) const {
-  return SearchBatch(queries, k, pool, RetrievalQuality{});
-}
-
-std::vector<std::vector<SearchHit>> MutableIndex::SearchBatch(const std::vector<Embedding>& queries,
-                                                              size_t k, ThreadPool* pool,
-                                                              const RetrievalQuality& quality) const {
-  return SearchBatch(queries, k, pool, std::vector<RetrievalQuality>(queries.size(), quality));
-}
-
-std::vector<std::vector<SearchHit>> MutableIndex::SearchBatch(
-    const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
-    const std::vector<RetrievalQuality>& qualities) const {
-  METIS_CHECK_EQ(qualities.size(), queries.size());
-  std::vector<std::vector<SearchHit>> results(queries.size());
-  if (queries.empty()) {
+std::vector<std::vector<SearchHit>> MutableIndex::SearchPinned(const MutableEpoch& epoch,
+                                                               const SearchRequest& request,
+                                                               ThreadPool* pool) const {
+  request.Check(dim_);
+  std::vector<std::vector<SearchHit>> results(request.queries.size());
+  if (request.k == 0) {
     return results;
   }
-  // Pin one epoch for the whole batch (the batcher's coalesced groups rely
-  // on this single-snapshot guarantee), then fan queries across the pool
-  // into disjoint slots.
-  std::shared_ptr<const MutableEpoch> epoch = PinEpoch();
-  auto sweep = [&](size_t qb, size_t qe) {
-    for (size_t qi = qb; qi < qe; ++qi) {
-      results[qi] = SearchPinned(*epoch, queries[qi], k, qualities[qi]);
+  std::vector<ChunkId> storage;
+  IdFilter dead = DeadFilter(epoch, request.exclude, &storage);
+  // Fan queries across the pool into disjoint slots. Every query is one
+  // candidate pass (over-fetched on a quantized tier) plus the exact rerank
+  // tail, which passes exact candidates through untouched.
+  ParallelForOrInline(pool, request.queries.size(), [&](size_t qb, size_t qe) {
+    for (size_t i = qb; i < qe; ++i) {
+      const Embedding& q = request.queries[i];
+      RetrievalQuality quality = request.quality(i);
+      bool exact = ResolveTier(quality, epoch.base->quantizers()) == RetrievalPrecision::kFp32;
+      size_t fetch = exact ? request.k : request.k * ResolveRerankFactor(quality);
+      results[i] = RerankToHits(EpochCandidates(epoch, q, fetch, quality, dead), q.data(),
+                                SquaredNormBlocked(q.data(), dim_), request.k);
     }
-  };
-  if (pool != nullptr && pool->num_threads() > 1 && queries.size() > 1) {
-    pool->ParallelFor(queries.size(), sweep);
-  } else {
-    sweep(0, queries.size());
-  }
+  });
   return results;
 }
 

@@ -63,9 +63,6 @@
 
 namespace metis {
 
-class BoundedTopK;       // topk.h (internal).
-class BoundedQuantTopK;  // quantize.h (internal).
-
 // One sealed segment: a frozen log range, optionally replaced by a compacted
 // (tombstone-free) row set whose orders are the original log positions.
 struct MutableSegment {
@@ -130,26 +127,18 @@ class MutableIndex : public VectorIndex {
 
   // --- VectorIndex surface (reads are lock-free; Add == Insert) ---
   void Add(ChunkId id, const Embedding& v) override { Insert(id, v); }
-  std::vector<SearchHit> Search(const Embedding& query, size_t k) const override;
-  std::vector<SearchHit> Search(const Embedding& query, size_t k,
-                                const RetrievalQuality& quality) const override;
-  std::vector<std::vector<SearchHit>> SearchBatch(const std::vector<Embedding>& queries, size_t k,
-                                                  ThreadPool* pool = nullptr) const override;
-  std::vector<std::vector<SearchHit>> SearchBatch(const std::vector<Embedding>& queries, size_t k,
-                                                  ThreadPool* pool,
-                                                  const RetrievalQuality& quality) const override;
-  // One epoch pin for the whole batch: a coalesced group is answered against
-  // a single snapshot no matter how the writer races it.
-  std::vector<std::vector<SearchHit>> SearchBatch(
-      const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
-      const std::vector<RetrievalQuality>& qualities) const override;
-  // Exclusion-aware search (the hybrid metadata-filter push-down): like
-  // Search(query, k, quality) but with `exclude` (sorted ids) filtered inside
-  // every scan, unioned with the epoch's tombstones. Filtered scans always
-  // run the exact fp32 tier (quantized-tier requests are stripped).
-  std::vector<SearchHit> SearchFiltered(const Embedding& query, size_t k,
-                                        const RetrievalQuality& quality,
-                                        const IdFilter& exclude) const;
+  // One epoch pin for the whole request: a coalesced group is answered
+  // against a single snapshot no matter how the writer races it. The
+  // request's exclusion set is unioned with the epoch's tombstones.
+  std::vector<std::vector<SearchHit>> SearchBatch(const SearchRequest& request,
+                                                  ThreadPool* pool = nullptr) const override {
+    return SearchPinned(*PinEpoch(), request, pool);
+  }
+  // The current epoch's merged base + segment + memtable candidates, with
+  // tombstones and `exclude` filtered out.
+  std::vector<QuantCand> SearchCandidates(const Embedding& query, size_t fetch_k,
+                                          const RetrievalQuality& quality,
+                                          const IdFilter& exclude) const override;
   // Live rows (inserted minus deleted).
   size_t size() const override;
 
@@ -183,8 +172,9 @@ class MutableIndex : public VectorIndex {
   // Pins the current epoch: the returned snapshot answers SearchPinned
   // identically forever, regardless of concurrent mutations.
   std::shared_ptr<const MutableEpoch> PinEpoch() const;
-  std::vector<SearchHit> SearchPinned(const MutableEpoch& epoch, const Embedding& query, size_t k,
-                                      const RetrievalQuality& quality = {}) const;
+  std::vector<std::vector<SearchHit>> SearchPinned(const MutableEpoch& epoch,
+                                                   const SearchRequest& request,
+                                                   ThreadPool* pool = nullptr) const;
   // Enumerates the epoch's live rows in insertion (log) order — the exact
   // stream a from-scratch reference build over the live set would consume.
   void ForEachLiveRow(const MutableEpoch& epoch,
@@ -209,18 +199,16 @@ class MutableIndex : public VectorIndex {
   const IndexShard& LogBlock(size_t pos) const;
   ChunkId LogId(size_t pos) const;
   const float* LogRow(size_t pos) const;
-  void ScanLogRange(size_t lo, size_t hi, const float* q, double qnorm, const IdFilter& exclude,
-                    BoundedTopK& out) const;
-  // Exact scan of a log range into a quantized-candidate heap (memtable and
-  // un-encoded segments in the quantized search flow).
-  void ScanLogRangeExact(size_t lo, size_t hi, const float* q, double qnorm,
-                         const IdFilter& exclude, BoundedQuantTopK& out) const;
-  // The quantized SearchPinned flow: base candidates + segment code scans +
-  // exact memtable into one (approx distance, order) heap, then one exact
-  // rerank. Only called when `tier` is a quantized tier with a live mirror.
-  std::vector<SearchHit> SearchPinnedQuant(const MutableEpoch& epoch, const Embedding& query,
-                                           size_t k, RetrievalPrecision tier,
-                                           const RetrievalQuality& quality) const;
+  // Calls fn(block, begin, end, pos) for each log block's slice [begin, end)
+  // of log range [lo, hi); pos is the slice's first log position.
+  template <typename Fn>
+  void ForEachLogSlice(size_t lo, size_t hi, Fn fn) const;
+  // One query's candidates against `epoch`: base candidates, segment code
+  // (or exact) scans and the exact memtable in one (distance, order) heap of
+  // fetch_k, with `dead` (tombstones, plus any caller exclusion) filtered.
+  std::vector<QuantCand> EpochCandidates(const MutableEpoch& epoch, const Embedding& query,
+                                         size_t fetch_k, const RetrievalQuality& quality,
+                                         const IdFilter& dead) const;
 
   size_t AppendLogLocked(ChunkId id, const float* v);
   void PublishLocked();

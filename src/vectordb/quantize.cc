@@ -264,50 +264,14 @@ void BuildPqQuery(const PqParams& pq, const float* q, size_t dim, PqQuery* out) 
   }
 }
 
-// --- Quantized top-k ---------------------------------------------------------
+// --- Candidate scans ---------------------------------------------------------
 
 namespace {
 
-inline bool QuantCandLess(const QuantCand& a, const QuantCand& b) {
-  if (a.dist != b.dist) {
-    return a.dist < b.dist;
-  }
-  return a.order < b.order;
-}
-
-}  // namespace
-
-void BoundedQuantTopK::Offer(float dist, size_t order, ChunkId id, const RowPool* pool,
-                             uint32_t row) {
-  if (k_ == 0) {
-    return;
-  }
-  if (heap_.size() < k_) {
-    heap_.push_back(QuantCand{dist, order, id, pool, row});
-    std::push_heap(heap_.begin(), heap_.end(), QuantCandLess);
-    return;
-  }
-  const QuantCand& worst = heap_.front();
-  if (dist > worst.dist || (dist == worst.dist && order > worst.order)) {
-    return;
-  }
-  std::pop_heap(heap_.begin(), heap_.end(), QuantCandLess);
-  heap_.back() = QuantCand{dist, order, id, pool, row};
-  std::push_heap(heap_.begin(), heap_.end(), QuantCandLess);
-}
-
-std::vector<QuantCand> BoundedQuantTopK::DrainCands() {
-  std::sort_heap(heap_.begin(), heap_.end(), QuantCandLess);
-  std::vector<QuantCand> out = std::move(heap_);
-  heap_.clear();
-  return out;
-}
-
-// --- Scans -------------------------------------------------------------------
-
-void ScanSqRowsInto(const QuantizedCodes& codes, size_t code_lo, const RowPool& pool,
-                    size_t begin, size_t end, const SqQuery& sq, const size_t* orders,
-                    size_t base, const IdFilter& exclude, BoundedQuantTopK& out) {
+// SQ tier: asymmetric distance over code rows (see the header comment).
+void ScanSqRows(const QuantizedCodes& codes, size_t code_lo, const RowPool& pool, size_t begin,
+                size_t end, const SqQuery& sq, const size_t* orders, size_t base,
+                const IdFilter& exclude, BoundedTopK& out) {
   U8DotKernelFn dot = ActiveU8DotKernel();
   size_t dim = pool.dim();
   size_t stride = codes.sq_stride;
@@ -326,10 +290,10 @@ void ScanSqRowsInto(const QuantizedCodes& codes, size_t code_lo, const RowPool& 
   }
 }
 
-void ScanPqRowsInto(const QuantizedCodes& codes, size_t code_lo, const RowPool& pool,
-                    size_t begin, size_t end, const PqQuery& pq, size_t pq_m,
-                    const size_t* orders, size_t base, const IdFilter& exclude,
-                    BoundedQuantTopK& out) {
+// PQ tier: ADC table lookups.
+void ScanPqRows(const QuantizedCodes& codes, size_t code_lo, const RowPool& pool, size_t begin,
+                size_t end, const PqQuery& pq, size_t pq_m, const size_t* orders, size_t base,
+                const IdFilter& exclude, BoundedTopK& out) {
   size_t nc = pq.table.size() / pq_m;
   bool filtered = !exclude.empty();
   for (size_t i = begin; i < end; ++i) {
@@ -345,6 +309,34 @@ void ScanPqRowsInto(const QuantizedCodes& codes, size_t code_lo, const RowPool& 
   }
 }
 
+}  // namespace
+
+CandidateScanner::CandidateScanner(RetrievalPrecision tier, const IndexQuantizers* qz,
+                                   const float* q, size_t dim)
+    : tier_(tier), q_(q), qnorm_(SquaredNormBlocked(q, dim)) {
+  if (tier_ == RetrievalPrecision::kInt8) {
+    BuildSqQuery(qz->sq, q, dim, &sq_);
+  } else if (tier_ == RetrievalPrecision::kPq) {
+    BuildPqQuery(qz->pq, q, dim, &pq_);
+    pq_m_ = qz->pq.m;
+  }
+}
+
+void CandidateScanner::Scan(const QuantizedCodes* codes, size_t code_lo, const RowPool& pool,
+                            size_t begin, size_t end, const size_t* orders, size_t base,
+                            const IdFilter& exclude, BoundedTopK& out) const {
+  size_t enc = begin;  // Rows [begin, enc) have code rows.
+  if (codes != nullptr && tier_ != RetrievalPrecision::kFp32 && codes->rows > code_lo) {
+    enc = begin + std::min(end - begin, codes->rows - code_lo);
+  }
+  if (enc > begin && tier_ == RetrievalPrecision::kInt8) {
+    ScanSqRows(*codes, code_lo, pool, begin, enc, sq_, orders, base, exclude, out);
+  } else if (enc > begin) {
+    ScanPqRows(*codes, code_lo, pool, begin, enc, pq_, pq_m_, orders, base, exclude, out);
+  }
+  ScanRowsInto(pool, enc, end, q_, qnorm_, orders, base, exclude, out);
+}
+
 // --- Rerank tail -------------------------------------------------------------
 
 void RerankCandidates(std::vector<QuantCand>& cands, const float* q, double qnorm, size_t k) {
@@ -353,7 +345,7 @@ void RerankCandidates(std::vector<QuantCand>& cands, const float* q, double qnor
       c.dist = ExactRowDistance(*c.pool, c.row, q, qnorm);
     }
   }
-  std::sort(cands.begin(), cands.end(), QuantCandLess);
+  std::sort(cands.begin(), cands.end(), CandLess);
   if (cands.size() > k) {
     cands.resize(k);
   }

@@ -50,6 +50,7 @@
 #include <functional>
 #include <vector>
 
+#include "src/vectordb/topk.h"
 #include "src/vectordb/vectordb.h"
 
 namespace metis {
@@ -100,57 +101,44 @@ void BuildSqQuery(const Int8Params& sq, const float* q, size_t dim, SqQuery* out
 
 // PQ query precompute: the ADC table, table[s * ncentroids + c] = squared
 // distance from query subvector s to centroid (s, c). Built once per query
-// per SearchBatch.
+// by its CandidateScanner.
 struct PqQuery {
   std::vector<float> table;
 };
 void BuildPqQuery(const PqParams& pq, const float* q, size_t dim, PqQuery* out);
 
-// --- Quantized top-k ---------------------------------------------------------
+// --- Candidate scans ---------------------------------------------------------
 
-// BoundedTopK's twin over QuantCand: same (dist, order) total order, same
-// bounded max-heap, candidates carry their row location for the rerank tail.
-// Comparison-only — safe to inline anywhere (topk.h).
-class BoundedQuantTopK {
+// One query's candidate scan on one tier: builds the SQ/PQ precompute once
+// (nothing on the fp32 tier), then scores any number of row ranges into a
+// BoundedTopK. Every candidate path — static flat and IVF shards, the
+// mutable index's segments and memtable — scans through here, so encoded and
+// exact rows share one rule and one codegen (quantize.cc).
+class CandidateScanner {
  public:
-  explicit BoundedQuantTopK(size_t k) : k_(k) { heap_.reserve(k); }
+  // `qz` must hold the tier's quantizer unless tier == kFp32 (see
+  // ResolveTier).
+  CandidateScanner(RetrievalPrecision tier, const IndexQuantizers* qz, const float* q, size_t dim);
 
-  void Offer(float dist, size_t order, ChunkId id, const RowPool* pool, uint32_t row);
-  void OfferCand(const QuantCand& c) { Offer(c.dist, c.order, c.id, c.pool, c.row); }
+  double qnorm() const { return qnorm_; }
 
-  // Ascending (dist, order); clears the heap.
-  std::vector<QuantCand> DrainCands();
-  const std::vector<QuantCand>& cands() const { return heap_; }
+  // Offers pool rows [begin, end) that survive `exclude` to `out`, with
+  // candidate order base + orders[i]. Row i reads code row code_lo +
+  // (i - begin) of `codes`: rows that code row exists for score on the
+  // quantized tier; the rest (rows appended after the mirror was encoded),
+  // and every row when `codes` is null or the tier is fp32, score exactly.
+  void Scan(const QuantizedCodes* codes, size_t code_lo, const RowPool& pool, size_t begin,
+            size_t end, const size_t* orders, size_t base, const IdFilter& exclude,
+            BoundedTopK& out) const;
 
  private:
-  size_t k_;
-  std::vector<QuantCand> heap_;
+  RetrievalPrecision tier_;
+  const float* q_;
+  double qnorm_;
+  size_t pq_m_ = 0;
+  SqQuery sq_;
+  PqQuery pq_;
 };
-
-// --- Scans (single definitions in quantize.cc) -------------------------------
-
-// Scores pool rows [begin, end) against the SQ query context and offers
-// survivors of `exclude` to `out`. Row i reads code row (i - begin) +
-// code_lo of `codes`; candidate order is base + orders[i]. Requires
-// codes.sq to cover that range.
-void ScanSqRowsInto(const QuantizedCodes& codes, size_t code_lo, const RowPool& pool,
-                    size_t begin, size_t end, const SqQuery& sq, const size_t* orders,
-                    size_t base, const IdFilter& exclude, BoundedQuantTopK& out);
-
-// Same shape for the PQ tier (ADC table lookups).
-void ScanPqRowsInto(const QuantizedCodes& codes, size_t code_lo, const RowPool& pool,
-                    size_t begin, size_t end, const PqQuery& pq, size_t pq_m,
-                    const size_t* orders, size_t base, const IdFilter& exclude,
-                    BoundedQuantTopK& out);
-
-// Exact-distance scan into a quantized-candidate heap (memtable rows,
-// un-encoded suffixes, and whole-index fp32 fallbacks). Distances come out
-// bit-identical to ScanRowsInto — defined in vectordb.cc under the
-// single-codegen rule. Candidates are marked pool == nullptr (distance
-// already exact), so the rerank tail passes them through.
-void ScanRowsExactInto(const RowPool& pool, size_t begin, size_t end, const float* q,
-                       double qnorm, const size_t* orders, size_t base, const IdFilter& exclude,
-                       BoundedQuantTopK& out);
 
 // Exact fp32 distance of one pool row (the rerank tail's scorer); the one
 // definition lives in vectordb.cc so it shares the scan loop's codegen.

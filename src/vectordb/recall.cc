@@ -53,7 +53,7 @@ RecallEval::RecallEval(const FlatL2Index& truth, std::vector<Embedding> queries,
                        ThreadPool* pool)
     : k_(k), queries_(std::move(queries)) {
   METIS_CHECK_GT(k, 0u);
-  truth_ = truth.SearchBatch(queries_, k_, pool);
+  truth_ = truth.SearchBatch(SearchRequest::Uniform(queries_, k_), pool);
 }
 
 RecallEval::RecallEval(std::vector<Embedding> queries, size_t k,
@@ -67,13 +67,14 @@ RecallEval RecallEval::FromExactSearch(const VectorIndex& index, std::vector<Emb
                                        size_t k, ThreadPool* pool,
                                        const RetrievalQuality& quality) {
   METIS_CHECK_GT(k, 0u);
-  std::vector<std::vector<SearchHit>> truth = index.SearchBatch(queries, k, pool, quality);
+  std::vector<std::vector<SearchHit>> truth =
+      index.SearchBatch(SearchRequest::Uniform(queries, k, quality), pool);
   return RecallEval(std::move(queries), k, std::move(truth));
 }
 
 double RecallEval::Evaluate(const VectorIndex& index, ThreadPool* pool,
                             const RetrievalQuality& quality) const {
-  return RecallAtK(index.SearchBatch(queries_, k_, pool, quality), truth_);
+  return RecallAtK(index.SearchBatch(SearchRequest::Uniform(queries_, k_, quality), pool), truth_);
 }
 
 }  // namespace metis

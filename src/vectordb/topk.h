@@ -1,12 +1,13 @@
 // Internal top-k selection primitives shared by the static indexes
-// (vectordb.cc) and the live-mutation wrapper (mutable_index.cc).
+// (vectordb.cc), the quantized scans (quantize.cc) and the live-mutation
+// wrapper (mutable_index.cc).
 //
-// Everything here is either comparison-only (Cand, BoundedTopK — no floating-
-// point arithmetic, so any TU may inline it without affecting bit-identity)
-// or a *declaration* of a distance-scan routine whose single definition lives
-// in vectordb.cc. That one-definition rule is load-bearing: vectordb.cc is
-// compiled -O3 -march=native, where the compiler may contract the
-// norm + qnorm - 2*dot combine differently than a default-flags TU would.
+// Everything here is either comparison-only (CandLess, BoundedTopK — no
+// floating-point arithmetic, so any TU may inline it without affecting
+// bit-identity) or a *declaration* of the exact distance scan whose single
+// definition lives in vectordb.cc. That one-definition rule is load-bearing:
+// vectordb.cc is compiled -O3 -march=native, where the compiler may contract
+// the norm + qnorm - 2*dot combine differently than a default-flags TU would.
 // Keeping exactly one codegen of the scan loop is what lets the mutation-
 // parity tests assert distances bit-equal between a mutable index and a
 // freshly built static one.
@@ -16,25 +17,17 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "src/vectordb/vectordb.h"
 
 namespace metis {
 
-// Candidate under selection: distance plus the position at which it was
-// considered (insertion order for flat, probe-concatenation order for IVF,
-// log position for the mutable index's delta structures).
-struct Cand {
-  float dist;
-  size_t order;
-  ChunkId id;
-};
-
 // Total order matching the seed's stable_sort-by-distance: distance first,
 // candidate order as the tie-break. Selecting the k smallest under this total
 // order is independent of how candidates are partitioned or interleaved.
-inline bool CandLess(const Cand& a, const Cand& b) {
+inline bool CandLess(const QuantCand& a, const QuantCand& b) {
   if (a.dist != b.dist) {
     return a.dist < b.dist;
   }
@@ -43,61 +36,66 @@ inline bool CandLess(const Cand& a, const Cand& b) {
 
 // Max-heap of the k best candidates seen so far: O(log k) per insertion past
 // the warmup, O(k) memory — replaces the seed's materialize-all + stable_sort.
+// Candidates carry their row location, so one heap serves the exact scans
+// (pool == nullptr: distance final) and the quantized scans feeding the
+// rerank tail alike.
 class BoundedTopK {
  public:
   explicit BoundedTopK(size_t k) : k_(k) { heap_.reserve(k); }
 
-  void Offer(float dist, size_t order, ChunkId id) {
+  void Offer(float dist, size_t order, ChunkId id, const RowPool* pool = nullptr,
+             uint32_t row = 0) {
     if (k_ == 0) {
       return;
     }
     if (heap_.size() < k_) {
-      heap_.push_back(Cand{dist, order, id});
+      heap_.push_back(QuantCand{dist, id, order, pool, row});
       std::push_heap(heap_.begin(), heap_.end(), CandLess);
       return;
     }
-    const Cand& worst = heap_.front();
+    const QuantCand& worst = heap_.front();
     if (dist > worst.dist || (dist == worst.dist && order > worst.order)) {
       return;
     }
     std::pop_heap(heap_.begin(), heap_.end(), CandLess);
-    heap_.back() = Cand{dist, order, id};
+    heap_.back() = QuantCand{dist, id, order, pool, row};
     std::push_heap(heap_.begin(), heap_.end(), CandLess);
   }
+  void OfferCand(const QuantCand& c) { Offer(c.dist, c.order, c.id, c.pool, c.row); }
 
+  // Ascending (dist, order); clears the heap.
+  std::vector<QuantCand> DrainCands() {
+    std::sort_heap(heap_.begin(), heap_.end(), CandLess);
+    std::vector<QuantCand> out = std::move(heap_);
+    heap_.clear();
+    return out;
+  }
+  // DrainCands stripped to SearchHit form (exact candidates only).
   std::vector<SearchHit> Drain() {
-    std::sort_heap(heap_.begin(), heap_.end(), CandLess);  // Ascending.
+    std::sort_heap(heap_.begin(), heap_.end(), CandLess);
     std::vector<SearchHit> hits;
     hits.reserve(heap_.size());
-    for (const Cand& c : heap_) {
+    for (const QuantCand& c : heap_) {
       hits.push_back(SearchHit{c.id, c.dist});
     }
     heap_.clear();
     return hits;
   }
 
-  // Like Drain, but keeps the candidate orders (the mutable index merges
-  // base-index hits with delta-structure hits under the shared total order).
-  std::vector<Cand> DrainCands() {
-    std::sort_heap(heap_.begin(), heap_.end(), CandLess);
-    std::vector<Cand> out = std::move(heap_);
-    heap_.clear();
-    return out;
-  }
-
   // The retained candidates in heap order (for cross-shard merging; the
   // merge re-heapifies, so ordering here does not matter).
-  const std::vector<Cand>& cands() const { return heap_; }
+  const std::vector<QuantCand>& cands() const { return heap_; }
 
  private:
   size_t k_;
-  std::vector<Cand> heap_;
+  std::vector<QuantCand> heap_;
 };
 
-// Scores pool rows [begin, end) against one query and offers the survivors of
-// `exclude` (sorted tombstoned ids; empty = keep all) to `out`. Candidate
-// order is `base` + orders[i]. Defined in vectordb.cc — see the header
-// comment for why there is exactly one definition.
+// Scores pool rows [begin, end) exactly against one query and offers the
+// survivors of `exclude` (sorted excluded ids; empty = keep all) to `out` as
+// exact candidates. Candidate order is `base` + orders[i]. Defined in
+// vectordb.cc — see the header comment for why there is exactly one
+// definition.
 void ScanRowsInto(const RowPool& pool, size_t begin, size_t end, const float* q, double qnorm,
                   const size_t* orders, size_t base, const IdFilter& exclude, BoundedTopK& out);
 

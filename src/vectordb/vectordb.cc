@@ -50,8 +50,9 @@ void RowPool::Append(ChunkId id, const float* v) {
 
 // --- Bounded top-k selection ------------------------------------------------
 //
-// Cand / BoundedTopK moved to topk.h (shared with mutable_index.cc); the
-// distance scans stay here so the hot-flags TU holds their only codegen.
+// BoundedTopK lives in topk.h (shared with quantize.cc and
+// mutable_index.cc); the exact distance scan stays here so the hot-flags TU
+// holds its only codegen.
 
 namespace {
 
@@ -67,8 +68,8 @@ std::vector<SearchHit> MergeShardTopK(std::vector<BoundedTopK>& heaps, size_t st
   }
   BoundedTopK merged(k);
   for (size_t i = 0; i < count; ++i) {
-    for (const Cand& c : heaps[start + i * stride].cands()) {
-      merged.Offer(c.dist, c.order, c.id);
+    for (const QuantCand& c : heaps[start + i * stride].cands()) {
+      merged.OfferCand(c);
     }
   }
   return merged.Drain();
@@ -78,8 +79,8 @@ std::vector<SearchHit> MergeShardTopK(std::vector<BoundedTopK>& heaps, size_t st
 // Candidate order is `base` + orders[i]: every scanned pool is an IndexShard
 // pool, whose parallel `orders` array carries the single-shard-equivalent
 // order per row. The dispatched dot kernel is fetched once per scan, not
-// once per row. Templated on filtering so the unfiltered static path keeps
-// exactly the loop it had before tombstones existed.
+// once per row. Templated on filtering so the unfiltered path keeps exactly
+// the loop it had before tombstones existed.
 template <bool kFiltered>
 void ScanRowsImpl(const RowPool& pool, size_t begin, size_t end, const float* q, double qnorm,
                   const size_t* orders, size_t base, const IdFilter& exclude, BoundedTopK& out) {
@@ -97,11 +98,6 @@ void ScanRowsImpl(const RowPool& pool, size_t begin, size_t end, const float* q,
     }
     out.Offer(d, base + orders[i], pool.id(i));
   }
-}
-
-void ScanRows(const RowPool& pool, size_t begin, size_t end, const float* q, double qnorm,
-              const size_t* orders, size_t base, BoundedTopK& out) {
-  ScanRowsImpl<false>(pool, begin, end, q, qnorm, orders, base, IdFilter{}, out);
 }
 
 // Scans shard `shard` of every probed inverted list into `out` (IVF batch
@@ -125,8 +121,8 @@ size_t BlockRows(size_t stride) {
 
 }  // namespace
 
-// The one definition of the filtered scan (declared in topk.h; see there for
-// why mutable_index.cc must not grow its own copy).
+// The one definition of the exact scan (declared in topk.h; see there for
+// why no other TU may grow its own copy).
 void ScanRowsInto(const RowPool& pool, size_t begin, size_t end, const float* q, double qnorm,
                   const size_t* orders, size_t base, const IdFilter& exclude, BoundedTopK& out) {
   if (exclude.empty()) {
@@ -157,81 +153,52 @@ float ExactRowDistance(const RowPool& pool, size_t row, const float* q, double q
   return d < 0.0f ? 0.0f : d;
 }
 
-// Exact scan into a quantized-candidate heap (declared in quantize.h): the
-// ScanRowsImpl loop with candidates marked pool == nullptr so the rerank tail
-// passes them through. Lives here for the same single-codegen reason.
-void ScanRowsExactInto(const RowPool& pool, size_t begin, size_t end, const float* q,
-                       double qnorm, const size_t* orders, size_t base, const IdFilter& exclude,
-                       BoundedQuantTopK& out) {
-  size_t dim = pool.dim();
-  DotKernelFn dot = ActiveDotKernel();
-  bool filtered = !exclude.empty();
-  for (size_t i = begin; i < end; ++i) {
-    if (filtered && exclude.contains(pool.id(i))) {
-      continue;
-    }
-    float d = static_cast<float>(pool.norm(i) + qnorm - 2.0 * dot(pool.row(i), q, dim));
-    if (d < 0.0f) {
-      d = 0.0f;
-    }
-    out.Offer(d, base + orders[i], pool.id(i), nullptr, 0);
-  }
+// --- VectorIndex -------------------------------------------------------------
+
+std::vector<SearchHit> VectorIndex::Search(const Embedding& query, size_t k,
+                                           const RetrievalQuality& quality) const {
+  return std::move(SearchBatch(SearchRequest{{query}, k, {quality}, {}})[0]);
 }
 
-// --- VectorIndex default batch ----------------------------------------------
-
-std::vector<std::vector<SearchHit>> VectorIndex::SearchBatch(
-    const std::vector<Embedding>& queries, size_t k, ThreadPool* pool) const {
-  (void)pool;
-  std::vector<std::vector<SearchHit>> results;
-  results.reserve(queries.size());
-  for (const Embedding& q : queries) {
-    results.push_back(Search(q, k));
-  }
-  return results;
-}
-
-std::vector<std::vector<SearchHit>> VectorIndex::SearchBatch(
-    const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
-    const std::vector<RetrievalQuality>& qualities) const {
+void SearchRequest::Check(size_t dim) const {
   METIS_CHECK_EQ(qualities.size(), queries.size());
-  (void)pool;
-  std::vector<std::vector<SearchHit>> results;
-  results.reserve(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    results.push_back(Search(queries[i], k, qualities[i]));
+  for (const Embedding& q : queries) {
+    METIS_CHECK_EQ(q.size(), dim);
   }
-  return results;
 }
 
-std::vector<OrderedHit> VectorIndex::SearchOrdered(const Embedding& query, size_t k,
-                                                   const RetrievalQuality& quality,
-                                                   const IdFilter& exclude) const {
-  // Rank order is only a valid candidate order when nothing is filtered out;
-  // backends with real storage override this with a scan-level filter.
-  METIS_CHECK(exclude.empty());
-  std::vector<SearchHit> hits = Search(query, k, quality);
-  std::vector<OrderedHit> out;
-  out.reserve(hits.size());
-  for (size_t i = 0; i < hits.size(); ++i) {
-    out.push_back(OrderedHit{hits[i].id, hits[i].distance, i});
+namespace {
+
+// Splits a request's queries by the tier each is served on against `qz`:
+// fp32 ones (the backend's shared sweep) and quantized ones (per-query
+// fan-out through the candidate hook).
+void SplitByTier(const SearchRequest& request, const IndexQuantizers* qz,
+                 std::vector<size_t>* exact, std::vector<size_t>* quant) {
+  for (size_t i = 0; i < request.queries.size(); ++i) {
+    bool fp32 = ResolveTier(request.quality(i), qz) == RetrievalPrecision::kFp32;
+    (fp32 ? exact : quant)->push_back(i);
   }
-  return out;
 }
 
-std::vector<QuantCand> VectorIndex::SearchQuantCandidates(const Embedding& query, size_t fetch_k,
-                                                          const RetrievalQuality& quality,
-                                                          const IdFilter& exclude) const {
-  // Backends without quantized mirrors serve exact candidates: distances are
-  // already final, so rerank passes them through (pool == nullptr).
-  std::vector<OrderedHit> hits = SearchOrdered(query, fetch_k, quality, exclude);
-  std::vector<QuantCand> out;
-  out.reserve(hits.size());
-  for (const OrderedHit& h : hits) {
-    out.push_back(QuantCand{h.distance, h.order, h.id, nullptr, 0});
-  }
-  return out;
+// Answers the quantized-tier queries `idx` of `request` one by one — an
+// over-fetched candidate scan, then the exact rerank tail — fanned out
+// across `pool` into disjoint result slots.
+void SearchQuantized(const VectorIndex& index, const SearchRequest& request,
+                     const std::vector<size_t>& idx, ThreadPool* pool,
+                     std::vector<std::vector<SearchHit>>* results) {
+  ParallelForOrInline(pool, idx.size(), [&](size_t b, size_t e) {
+    for (size_t t = b; t < e; ++t) {
+      const Embedding& q = request.queries[idx[t]];
+      const RetrievalQuality& quality = request.qualities[idx[t]];
+      size_t fetch = request.k * ResolveRerankFactor(quality);
+      (*results)[idx[t]] =
+          RerankToHits(index.SearchCandidates(q, fetch, quality, request.exclude), q.data(),
+                       SquaredNormBlocked(q.data(), q.size()), request.k);
+    }
+  });
 }
+
+}  // namespace
 
 // --- FlatL2Index ------------------------------------------------------------
 
@@ -250,50 +217,37 @@ void FlatL2Index::Add(ChunkId id, const Embedding& v) {
   shards_[ShardOfId(id, shards_.size())].Append(id, v.data(), count_++);
 }
 
-std::vector<SearchHit> FlatL2Index::Search(const Embedding& query, size_t k) const {
-  METIS_CHECK_EQ(query.size(), dim_);
+std::vector<std::vector<SearchHit>> FlatL2Index::SearchBatch(const SearchRequest& request,
+                                                             ThreadPool* pool) const {
+  request.Check(dim_);
+  std::vector<std::vector<SearchHit>> results(request.queries.size());
+  size_t k = request.k;
   if (k == 0 || count_ == 0) {
-    return {};
-  }
-  double qnorm = SquaredNormBlocked(query.data(), dim_);
-  // One heap across all shards: the (distance, global order) total order
-  // makes the scan order across shards irrelevant.
-  BoundedTopK topk(k);
-  for (const IndexShard& shard : shards_) {
-    ScanRows(shard.rows, 0, shard.rows.size(), query.data(), qnorm, shard.orders.data(), 0,
-             topk);
-  }
-  return topk.Drain();
-}
-
-std::vector<std::vector<SearchHit>> FlatL2Index::SearchBatch(const std::vector<Embedding>& queries,
-                                                             size_t k, ThreadPool* pool) const {
-  for (const Embedding& q : queries) {
-    METIS_CHECK_EQ(q.size(), dim_);
-  }
-  std::vector<std::vector<SearchHit>> results(queries.size());
-  if (queries.empty() || k == 0 || count_ == 0) {
     return results;
   }
-  size_t nq = queries.size();
+  std::vector<size_t> exact;
+  std::vector<size_t> quant;
+  SplitByTier(request, quantizers(), &exact, &quant);
+
+  // The fp32 queries share one sweep, bit-identical to the pre-quantization
+  // index. Fan the (shard x query) grid out across the pool: one heap per
+  // cell, so workers own disjoint slots and the merged result is independent
+  // of the partitioning. Task ids are shard-major — a contiguous task range
+  // covers consecutive queries of one shard before moving to the next — so
+  // each worker still streams a shard's rows through the cache-sized blocks
+  // once for all of its queries.
+  size_t nq = exact.size();
   size_t nshards = shards_.size();
   std::vector<double> qnorms(nq);
-  for (size_t qi = 0; qi < nq; ++qi) {
-    qnorms[qi] = SquaredNormBlocked(queries[qi].data(), dim_);
+  for (size_t j = 0; j < nq; ++j) {
+    qnorms[j] = SquaredNormBlocked(request.queries[exact[j]].data(), dim_);
   }
-
-  // Fan the (shard x query) grid out across the pool: one heap per cell, so
-  // workers own disjoint slots and the merged result is independent of the
-  // partitioning. Task ids are shard-major — a contiguous task range covers
-  // consecutive queries of one shard before moving to the next — so each
-  // worker still streams a shard's rows through the cache-sized blocks once
-  // for all of its queries.
   std::vector<BoundedTopK> heaps;
   heaps.reserve(nshards * nq);
   for (size_t i = 0; i < nshards * nq; ++i) {
     heaps.emplace_back(k);
   }
-  auto sweep = [&](size_t tb, size_t te) {
+  ParallelForOrInline(pool, nshards * nq, [&](size_t tb, size_t te) {
     size_t t = tb;
     while (t < te) {
       size_t shard = t / nq;
@@ -304,116 +258,19 @@ std::vector<std::vector<SearchHit>> FlatL2Index::SearchBatch(const std::vector<E
       size_t block = BlockRows(sh.rows.stride());
       for (size_t rb = 0; rb < sh.rows.size(); rb += block) {
         size_t re = std::min(rb + block, sh.rows.size());
-        for (size_t qi = qb; qi < qe; ++qi) {
-          ScanRows(sh.rows, rb, re, queries[qi].data(), qnorms[qi], sh.orders.data(), 0,
-                   heaps[shard * nq + qi]);
+        for (size_t j = qb; j < qe; ++j) {
+          ScanRowsInto(sh.rows, rb, re, request.queries[exact[j]].data(), qnorms[j],
+                       sh.orders.data(), 0, request.exclude, heaps[shard * nq + j]);
         }
       }
       t = run_end;
     }
-  };
-  if (pool != nullptr && pool->num_threads() > 1 && nshards * nq > 1) {
-    pool->ParallelFor(nshards * nq, sweep);
-  } else {
-    sweep(0, nshards * nq);
+  });
+  for (size_t j = 0; j < nq; ++j) {
+    results[exact[j]] = MergeShardTopK(heaps, /*start=*/j, /*stride=*/nq, nshards, k);
   }
-  for (size_t qi = 0; qi < nq; ++qi) {
-    results[qi] = MergeShardTopK(heaps, /*start=*/qi, /*stride=*/nq, nshards, k);
-  }
+  SearchQuantized(*this, request, quant, pool, &results);
   return results;
-}
-
-std::vector<SearchHit> FlatL2Index::Search(const Embedding& query, size_t k,
-                                           const RetrievalQuality& quality) const {
-  RetrievalPrecision tier = ResolveTier(quality, quantizers());
-  if (tier == RetrievalPrecision::kFp32) {
-    // Exact path: byte-for-byte the quality-less search.
-    return Search(query, k);
-  }
-  METIS_CHECK_EQ(query.size(), dim_);
-  if (k == 0 || count_ == 0) {
-    return {};
-  }
-  size_t fetch = k * ResolveRerankFactor(quality);
-  std::vector<QuantCand> cands = SearchQuantCandidates(query, fetch, quality, IdFilter{});
-  double qnorm = SquaredNormBlocked(query.data(), dim_);
-  return RerankToHits(std::move(cands), query.data(), qnorm, k);
-}
-
-std::vector<std::vector<SearchHit>> FlatL2Index::SearchBatch(
-    const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
-    const RetrievalQuality& quality) const {
-  return SearchBatch(queries, k, pool, std::vector<RetrievalQuality>(queries.size(), quality));
-}
-
-std::vector<std::vector<SearchHit>> FlatL2Index::SearchBatch(
-    const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
-    const std::vector<RetrievalQuality>& qualities) const {
-  METIS_CHECK_EQ(qualities.size(), queries.size());
-  std::vector<size_t> quant_idx;  // Queries resolving to a quantized tier.
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (ResolveTier(qualities[i], quantizers()) != RetrievalPrecision::kFp32) {
-      quant_idx.push_back(i);
-    }
-  }
-  if (quant_idx.empty()) {
-    // All-exact group: the shared shard-major sweep, bit-identical to the
-    // pre-quantization index.
-    return SearchBatch(queries, k, pool);
-  }
-  // Mixed group: the exact subset still rides the shared sweep; quantized
-  // queries fan out per query across the pool. Either way results[i] is
-  // bit-identical to Search(queries[i], k, qualities[i]).
-  std::vector<std::vector<SearchHit>> results(queries.size());
-  std::vector<Embedding> exact_q;
-  std::vector<size_t> exact_idx;
-  for (size_t i = 0, qj = 0; i < queries.size(); ++i) {
-    if (qj < quant_idx.size() && quant_idx[qj] == i) {
-      ++qj;
-      continue;
-    }
-    exact_idx.push_back(i);
-    exact_q.push_back(queries[i]);
-  }
-  if (!exact_q.empty()) {
-    std::vector<std::vector<SearchHit>> exact_res = SearchBatch(exact_q, k, pool);
-    for (size_t j = 0; j < exact_idx.size(); ++j) {
-      results[exact_idx[j]] = std::move(exact_res[j]);
-    }
-  }
-  auto quant_sweep = [&](size_t b, size_t e) {
-    for (size_t t = b; t < e; ++t) {
-      size_t qi = quant_idx[t];
-      results[qi] = Search(queries[qi], k, qualities[qi]);
-    }
-  };
-  if (pool != nullptr && pool->num_threads() > 1 && quant_idx.size() > 1) {
-    pool->ParallelFor(quant_idx.size(), quant_sweep);
-  } else {
-    quant_sweep(0, quant_idx.size());
-  }
-  return results;
-}
-
-std::vector<OrderedHit> FlatL2Index::SearchOrdered(const Embedding& query, size_t k,
-                                                   const RetrievalQuality& quality,
-                                                   const IdFilter& exclude) const {
-  (void)quality;  // Exact backend: no recall knob.
-  METIS_CHECK_EQ(query.size(), dim_);
-  std::vector<OrderedHit> out;
-  if (k == 0 || count_ == 0) {
-    return out;
-  }
-  double qnorm = SquaredNormBlocked(query.data(), dim_);
-  BoundedTopK topk(k);
-  for (const IndexShard& shard : shards_) {
-    ScanRowsInto(shard.rows, 0, shard.rows.size(), query.data(), qnorm, shard.orders.data(), 0,
-                 exclude, topk);
-  }
-  for (const Cand& c : topk.DrainCands()) {
-    out.push_back(OrderedHit{c.id, c.dist, c.order});
-  }
-  return out;
 }
 
 namespace {
@@ -445,46 +302,19 @@ bool FlatL2Index::BuildQuantizedMirrors() {
   return true;
 }
 
-std::vector<QuantCand> FlatL2Index::SearchQuantCandidates(const Embedding& query, size_t fetch_k,
-                                                          const RetrievalQuality& quality,
-                                                          const IdFilter& exclude) const {
+std::vector<QuantCand> FlatL2Index::SearchCandidates(const Embedding& query, size_t fetch_k,
+                                                     const RetrievalQuality& quality,
+                                                     const IdFilter& exclude) const {
   METIS_CHECK_EQ(query.size(), dim_);
   if (fetch_k == 0 || count_ == 0) {
     return {};
   }
-  RetrievalPrecision tier = ResolveTier(quality, quantizers());
-  double qnorm = SquaredNormBlocked(query.data(), dim_);
-  BoundedQuantTopK topk(fetch_k);
-  if (tier == RetrievalPrecision::kFp32) {
-    for (const IndexShard& shard : shards_) {
-      ScanRowsExactInto(shard.rows, 0, shard.rows.size(), query.data(), qnorm,
-                        shard.orders.data(), 0, exclude, topk);
-    }
-    return topk.DrainCands();
-  }
-  SqQuery sq;
-  PqQuery pq;
-  if (tier == RetrievalPrecision::kInt8) {
-    BuildSqQuery(quantizers_.sq, query.data(), dim_, &sq);
-  } else {
-    BuildPqQuery(quantizers_.pq, query.data(), dim_, &pq);
-  }
+  CandidateScanner scan(ResolveTier(quality, quantizers()), quantizers(), query.data(), dim_);
+  BoundedTopK topk(fetch_k);
   for (size_t s = 0; s < shards_.size(); ++s) {
     const IndexShard& shard = shards_[s];
-    const QuantizedCodes& codes = qcodes_[s];
-    // Mirror prefix scans quantized; rows appended after the mirror was
-    // encoded scan exactly into the same heap (quantize.h).
-    size_t enc = std::min(codes.rows, shard.rows.size());
-    if (tier == RetrievalPrecision::kInt8) {
-      ScanSqRowsInto(codes, 0, shard.rows, 0, enc, sq, shard.orders.data(), 0, exclude, topk);
-    } else {
-      ScanPqRowsInto(codes, 0, shard.rows, 0, enc, pq, quantizers_.pq.m, shard.orders.data(), 0,
-                     exclude, topk);
-    }
-    if (enc < shard.rows.size()) {
-      ScanRowsExactInto(shard.rows, enc, shard.rows.size(), query.data(), qnorm,
-                        shard.orders.data(), 0, exclude, topk);
-    }
+    scan.Scan(quantized_ ? &qcodes_[s] : nullptr, 0, shard.rows, 0, shard.rows.size(),
+              shard.orders.data(), 0, exclude, topk);
   }
   return topk.DrainCands();
 }
@@ -564,13 +394,6 @@ void IvfL2Index::Train(ThreadPool* pool) {
   size_t n = staged_.size();
   size_t nlist = std::min(nlist_, n);
 
-  auto parallel = [&](size_t count, const std::function<void(size_t, size_t)>& fn) {
-    if (pool != nullptr && pool->num_threads() > 1) {
-      pool->ParallelFor(count, fn);
-    } else {
-      fn(0, count);
-    }
-  };
   auto copy_row = [&](size_t i) {
     const float* r = staged_.row(i);
     return Embedding(r, r + dim_);
@@ -595,7 +418,7 @@ void IvfL2Index::Train(ThreadPool* pool) {
   auto absorb_centroid = [&](const Embedding& c) {
     double cnorm = SquaredNormBlocked(c.data(), dim_);
     DotKernelFn dot = ActiveDotKernel();
-    parallel(n, [&](size_t begin, size_t end) {
+    ParallelForOrInline(pool, n, [&](size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
         float d = static_cast<float>(cnorm + staged_.norm(i) -
                                      2.0 * dot(staged_.row(i), c.data(), dim_));
@@ -624,7 +447,7 @@ void IvfL2Index::Train(ThreadPool* pool) {
   // row order so centroids are bit-identical for every pool size.
   std::vector<size_t> assign(n);
   auto assign_all = [&]() {
-    parallel(n, [&](size_t begin, size_t end) {
+    ParallelForOrInline(pool, n, [&](size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
         assign[i] = NearestCentroid(staged_.row(i));
       }
@@ -748,126 +571,6 @@ IvfL2Index::ProbeSet IvfL2Index::PlanProbes(const float* q, double qnorm,
   return set;
 }
 
-std::vector<SearchHit> IvfL2Index::SearchOne(const float* q, size_t k, const ProbePlan& plan,
-                                             uint64_t* probes_used) const {
-  METIS_CHECK(trained_);
-  double qnorm = SquaredNormBlocked(q, dim_);
-  ProbeSet probes = PlanProbes(q, qnorm, plan);
-  // One heap across every shard of every probed list: the (distance, order)
-  // total order makes the shard visit order irrelevant.
-  BoundedTopK topk(k);
-  for (size_t shard = 0; shard < num_shards_; ++shard) {
-    ScanProbedShard(lists_, probes.lists, probes.bases, shard, q, qnorm, IdFilter{}, topk);
-  }
-  if (probes_used != nullptr) {
-    *probes_used = probes.lists.size();
-  }
-  return topk.Drain();
-}
-
-std::vector<OrderedHit> IvfL2Index::SearchOneOrdered(const float* q, size_t k,
-                                                     const ProbePlan& plan,
-                                                     const IdFilter& exclude,
-                                                     uint64_t* probes_used) const {
-  METIS_CHECK(trained_);
-  double qnorm = SquaredNormBlocked(q, dim_);
-  ProbeSet probes = PlanProbes(q, qnorm, plan);
-  BoundedTopK topk(k);
-  for (size_t shard = 0; shard < num_shards_; ++shard) {
-    ScanProbedShard(lists_, probes.lists, probes.bases, shard, q, qnorm, exclude, topk);
-  }
-  if (probes_used != nullptr) {
-    *probes_used = probes.lists.size();
-  }
-  std::vector<OrderedHit> out;
-  for (const Cand& c : topk.DrainCands()) {
-    out.push_back(OrderedHit{c.id, c.dist, c.order});
-  }
-  return out;
-}
-
-std::vector<QuantCand> IvfL2Index::QuantCandidatesOne(const float* q, size_t fetch_k,
-                                                      RetrievalPrecision tier,
-                                                      const ProbePlan& plan,
-                                                      const IdFilter& exclude,
-                                                      uint64_t* probes_used) const {
-  METIS_CHECK(trained_);
-  double qnorm = SquaredNormBlocked(q, dim_);
-  // Probe planning stays fp32 on every tier, so a quantized query probes
-  // exactly the lists its fp32 twin would (tier-invariant probe counts).
-  ProbeSet probes = PlanProbes(q, qnorm, plan);
-  SqQuery sq;
-  PqQuery pq;
-  if (tier == RetrievalPrecision::kInt8) {
-    BuildSqQuery(quantizers_.sq, q, dim_, &sq);
-  } else {
-    BuildPqQuery(quantizers_.pq, q, dim_, &pq);
-  }
-  BoundedQuantTopK topk(fetch_k);
-  for (size_t shard = 0; shard < num_shards_; ++shard) {
-    for (size_t p = 0; p < probes.lists.size(); ++p) {
-      const IndexShard& sh = lists_[probes.lists[p]][shard];
-      const QuantizedCodes& codes = qcodes_[probes.lists[p]][shard];
-      size_t enc = std::min(codes.rows, sh.rows.size());
-      if (tier == RetrievalPrecision::kInt8) {
-        ScanSqRowsInto(codes, 0, sh.rows, 0, enc, sq, sh.orders.data(), probes.bases[p], exclude,
-                       topk);
-      } else {
-        ScanPqRowsInto(codes, 0, sh.rows, 0, enc, pq, quantizers_.pq.m, sh.orders.data(),
-                       probes.bases[p], exclude, topk);
-      }
-      if (enc < sh.rows.size()) {
-        // Rows assigned to this list after the mirror was encoded.
-        ScanRowsExactInto(sh.rows, enc, sh.rows.size(), q, qnorm, sh.orders.data(),
-                          probes.bases[p], exclude, topk);
-      }
-    }
-  }
-  if (probes_used != nullptr) {
-    *probes_used = probes.lists.size();
-  }
-  return topk.DrainCands();
-}
-
-std::vector<SearchHit> IvfL2Index::SearchOneQuant(const float* q, size_t k,
-                                                  RetrievalPrecision tier,
-                                                  const RetrievalQuality& quality,
-                                                  const ProbePlan& plan,
-                                                  uint64_t* probes_used) const {
-  size_t fetch = k * ResolveRerankFactor(quality);
-  std::vector<QuantCand> cands = QuantCandidatesOne(q, fetch, tier, plan, IdFilter{}, probes_used);
-  double qnorm = SquaredNormBlocked(q, dim_);
-  return RerankToHits(std::move(cands), q, qnorm, k);
-}
-
-std::vector<OrderedHit> IvfL2Index::SearchOrdered(const Embedding& query, size_t k,
-                                                  const RetrievalQuality& quality,
-                                                  const IdFilter& exclude) const {
-  METIS_CHECK_EQ(query.size(), dim_);
-  uint64_t probes = 0;
-  std::vector<OrderedHit> hits =
-      SearchOneOrdered(query.data(), k, ResolveProbe(quality), exclude, &probes);
-  stats_.Record(probes);
-  return hits;
-}
-
-std::vector<SearchHit> IvfL2Index::Search(const Embedding& query, size_t k) const {
-  return Search(query, k, RetrievalQuality{});
-}
-
-std::vector<SearchHit> IvfL2Index::Search(const Embedding& query, size_t k,
-                                          const RetrievalQuality& quality) const {
-  METIS_CHECK_EQ(query.size(), dim_);
-  RetrievalPrecision tier = ResolveTier(quality, quantizers());
-  uint64_t probes = 0;
-  std::vector<SearchHit> hits =
-      tier == RetrievalPrecision::kFp32
-          ? SearchOne(query.data(), k, ResolveProbe(quality), &probes)
-          : SearchOneQuant(query.data(), k, tier, quality, ResolveProbe(quality), &probes);
-  stats_.Record(probes);
-  return hits;
-}
-
 std::vector<uint64_t> IvfL2Index::probe_histogram() const {
   std::vector<uint64_t> hist(kProbeHistogramBuckets);
   for (size_t i = 0; i < hist.size(); ++i) {
@@ -876,27 +579,25 @@ std::vector<uint64_t> IvfL2Index::probe_histogram() const {
   return hist;
 }
 
-std::vector<QuantCand> IvfL2Index::SearchQuantCandidates(const Embedding& query, size_t fetch_k,
-                                                         const RetrievalQuality& quality,
-                                                         const IdFilter& exclude) const {
+std::vector<QuantCand> IvfL2Index::SearchCandidates(const Embedding& query, size_t fetch_k,
+                                                    const RetrievalQuality& quality,
+                                                    const IdFilter& exclude) const {
+  METIS_CHECK(trained_);
   METIS_CHECK_EQ(query.size(), dim_);
-  RetrievalPrecision tier = ResolveTier(quality, quantizers());
-  uint64_t probes = 0;
-  std::vector<QuantCand> cands;
-  if (tier == RetrievalPrecision::kFp32) {
-    // Exact candidates (no mirror, or fp32 requested): distances are final.
-    std::vector<OrderedHit> hits =
-        SearchOneOrdered(query.data(), fetch_k, ResolveProbe(quality), exclude, &probes);
-    cands.reserve(hits.size());
-    for (const OrderedHit& h : hits) {
-      cands.push_back(QuantCand{h.distance, h.order, h.id, nullptr, 0});
+  CandidateScanner scan(ResolveTier(quality, quantizers()), quantizers(), query.data(), dim_);
+  // Probe planning stays fp32 on every tier, so a quantized query probes
+  // exactly the lists its fp32 twin would (tier-invariant probe counts).
+  ProbeSet probes = PlanProbes(query.data(), scan.qnorm(), ResolveProbe(quality));
+  BoundedTopK topk(fetch_k);
+  for (size_t shard = 0; shard < num_shards_; ++shard) {
+    for (size_t p = 0; p < probes.lists.size(); ++p) {
+      const IndexShard& sh = lists_[probes.lists[p]][shard];
+      scan.Scan(quantized_ ? &qcodes_[probes.lists[p]][shard] : nullptr, 0, sh.rows, 0,
+                sh.rows.size(), sh.orders.data(), probes.bases[p], exclude, topk);
     }
-  } else {
-    cands = QuantCandidatesOne(query.data(), fetch_k, tier, ResolveProbe(quality), exclude,
-                               &probes);
   }
-  stats_.Record(probes);
-  return cands;
+  stats_.Record(probes.lists.size());
+  return topk.DrainCands();
 }
 
 bool IvfL2Index::BuildQuantizedMirrors() {
@@ -941,99 +642,35 @@ size_t IvfL2Index::bytes_per_row(RetrievalPrecision tier) const {
   return 0;
 }
 
-std::vector<std::vector<SearchHit>> IvfL2Index::SearchBatch(const std::vector<Embedding>& queries,
-                                                            size_t k, ThreadPool* pool) const {
-  return SearchBatch(queries, k, pool, RetrievalQuality{});
-}
-
-std::vector<std::vector<SearchHit>> IvfL2Index::SearchBatch(const std::vector<Embedding>& queries,
-                                                            size_t k, ThreadPool* pool,
-                                                            const RetrievalQuality& quality) const {
-  return SearchBatch(queries, k, pool, std::vector<RetrievalQuality>(queries.size(), quality));
-}
-
-std::vector<std::vector<SearchHit>> IvfL2Index::SearchBatch(
-    const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
-    const std::vector<RetrievalQuality>& qualities) const {
+std::vector<std::vector<SearchHit>> IvfL2Index::SearchBatch(const SearchRequest& request,
+                                                            ThreadPool* pool) const {
   METIS_CHECK(trained_);
-  METIS_CHECK_EQ(qualities.size(), queries.size());
-  for (const Embedding& q : queries) {
-    METIS_CHECK_EQ(q.size(), dim_);
+  request.Check(dim_);
+  std::vector<std::vector<SearchHit>> results(request.queries.size());
+  size_t k = request.k;
+  if (k == 0) {
+    return results;  // Nothing to rank: no probe is planned, scanned or recorded.
   }
-  std::vector<std::vector<SearchHit>> results(queries.size());
-  if (queries.empty()) {
-    return results;
-  }
-  size_t nq = queries.size();
+  std::vector<size_t> exact;
+  std::vector<size_t> quant;
+  SplitByTier(request, quantizers(), &exact, &quant);
+  size_t nq = exact.size();
   size_t nshards = num_shards_;
-  bool parallel = pool != nullptr && pool->num_threads() > 1;
 
-  std::vector<RetrievalPrecision> tiers(nq);
-  bool any_quant = false;
-  for (size_t qi = 0; qi < nq; ++qi) {
-    tiers[qi] = ResolveTier(qualities[qi], quantizers());
-    any_quant = any_quant || tiers[qi] != RetrievalPrecision::kFp32;
-  }
-  if (any_quant) {
-    // Mixed-tier group: the exact subset rides the shared 3-phase sweep (the
-    // recursive call resolves all-fp32 and takes the path below); quantized
-    // queries fan out per query, probes recorded after the barrier. Either
-    // way results[i] is bit-identical to Search(queries[i], k, qualities[i]).
-    std::vector<Embedding> exact_q;
-    std::vector<RetrievalQuality> exact_quals;
-    std::vector<size_t> exact_idx;
-    std::vector<size_t> quant_idx;
-    for (size_t qi = 0; qi < nq; ++qi) {
-      if (tiers[qi] == RetrievalPrecision::kFp32) {
-        exact_idx.push_back(qi);
-        exact_q.push_back(queries[qi]);
-        exact_quals.push_back(qualities[qi]);
-      } else {
-        quant_idx.push_back(qi);
-      }
-    }
-    if (!exact_q.empty()) {
-      std::vector<std::vector<SearchHit>> exact_res = SearchBatch(exact_q, k, pool, exact_quals);
-      for (size_t j = 0; j < exact_idx.size(); ++j) {
-        results[exact_idx[j]] = std::move(exact_res[j]);
-      }
-    }
-    std::vector<uint64_t> probes(quant_idx.size(), 0);
-    auto quant_sweep = [&](size_t b, size_t e) {
-      for (size_t t = b; t < e; ++t) {
-        size_t qi = quant_idx[t];
-        results[qi] = SearchOneQuant(queries[qi].data(), k, tiers[qi], qualities[qi],
-                                     ResolveProbe(qualities[qi]), &probes[t]);
-      }
-    };
-    if (parallel && quant_idx.size() > 1) {
-      pool->ParallelFor(quant_idx.size(), quant_sweep);
-    } else {
-      quant_sweep(0, quant_idx.size());
-    }
-    for (uint64_t p : probes) {
-      stats_.Record(p);
-    }
-    return results;
-  }
-
-  // Phase 1 — plan: per-query centroid ranking + adaptive rule, into
-  // disjoint slots (deterministic for any partitioning). Each query resolves
-  // its OWN quality override, so a coalesced group can mix probe modes and
-  // budgets; the probe count is fixed here, before any row is scanned.
+  // The fp32 queries share a three-phase sweep. Phase 1 — plan: per-query
+  // centroid ranking + adaptive rule, into disjoint slots (deterministic for
+  // any partitioning). Each query resolves its OWN quality override, so a
+  // coalesced group can mix probe modes and budgets; the probe count is
+  // fixed here, before any row is scanned.
   std::vector<double> qnorms(nq);
   std::vector<ProbeSet> sets(nq);
-  auto plan_phase = [&](size_t qb, size_t qe) {
-    for (size_t qi = qb; qi < qe; ++qi) {
-      qnorms[qi] = SquaredNormBlocked(queries[qi].data(), dim_);
-      sets[qi] = PlanProbes(queries[qi].data(), qnorms[qi], ResolveProbe(qualities[qi]));
+  ParallelForOrInline(pool, nq, [&](size_t qb, size_t qe) {
+    for (size_t j = qb; j < qe; ++j) {
+      const float* q = request.queries[exact[j]].data();
+      qnorms[j] = SquaredNormBlocked(q, dim_);
+      sets[j] = PlanProbes(q, qnorms[j], ResolveProbe(request.qualities[exact[j]]));
     }
-  };
-  if (parallel && nq > 1) {
-    pool->ParallelFor(nq, plan_phase);
-  } else {
-    plan_phase(0, nq);
-  }
+  });
 
   // Phase 2 — scan: fan the (query x shard) grid out across the pool, one
   // heap per cell.
@@ -1042,26 +679,23 @@ std::vector<std::vector<SearchHit>> IvfL2Index::SearchBatch(
   for (size_t i = 0; i < nq * nshards; ++i) {
     heaps.emplace_back(k);
   }
-  auto scan_phase = [&](size_t tb, size_t te) {
+  ParallelForOrInline(pool, nq * nshards, [&](size_t tb, size_t te) {
     for (size_t t = tb; t < te; ++t) {
-      size_t qi = t / nshards;
-      size_t shard = t % nshards;
-      ScanProbedShard(lists_, sets[qi].lists, sets[qi].bases, shard, queries[qi].data(),
-                      qnorms[qi], IdFilter{}, heaps[t]);
+      size_t j = t / nshards;
+      ScanProbedShard(lists_, sets[j].lists, sets[j].bases, t % nshards,
+                      request.queries[exact[j]].data(), qnorms[j], request.exclude, heaps[t]);
     }
-  };
-  if (parallel && nq * nshards > 1) {
-    pool->ParallelFor(nq * nshards, scan_phase);
-  } else {
-    scan_phase(0, nq * nshards);
-  }
+  });
 
   // Phase 3 — merge per query and fold the probe tally into the counters
   // after the barrier, on the calling thread.
-  for (size_t qi = 0; qi < nq; ++qi) {
-    results[qi] = MergeShardTopK(heaps, qi * nshards, /*stride=*/1, nshards, k);
-    stats_.Record(sets[qi].lists.size());
+  for (size_t j = 0; j < nq; ++j) {
+    results[exact[j]] = MergeShardTopK(heaps, j * nshards, /*stride=*/1, nshards, k);
+    stats_.Record(sets[j].lists.size());
   }
+  // Quantized-tier queries fan out per query; each candidate scan records
+  // its own probes.
+  SearchQuantized(*this, request, quant, pool, &results);
   return results;
 }
 
@@ -1294,18 +928,9 @@ std::vector<SearchHit> VectorDatabase::RetrieveHybrid(const std::string& query_t
 
   std::vector<SearchHit> dense_hits;
   if (want_dense) {
-    const Embedding& query = query_cache_.Get(query_text);
-    if (exclude.empty()) {
-      dense_hits = index_->Search(query, k, quality);
-    } else if (mutable_ != nullptr) {
-      dense_hits = mutable_->SearchFiltered(query, k, quality, exclude);
-    } else {
-      // SearchOrdered is the static backends' exclusion-aware scan (always
-      // exact fp32; filtered scans don't ride quantized mirrors).
-      for (const OrderedHit& h : index_->SearchOrdered(query, k, quality, exclude)) {
-        dense_hits.push_back(SearchHit{h.id, h.distance});
-      }
-    }
+    // A filtered request serves exact fp32 on every backend and lifecycle.
+    SearchRequest request{{query_cache_.Get(query_text)}, k, {quality}, exclude};
+    dense_hits = std::move(index_->SearchBatch(request)[0]);
     dense_searches_.fetch_add(1, std::memory_order_relaxed);
   }
 
@@ -1337,65 +962,36 @@ std::vector<SearchHit> VectorDatabase::RetrieveWithDistances(const std::string& 
 
 std::vector<std::vector<SearchHit>> VectorDatabase::RetrieveBatch(
     const std::vector<std::string>& query_texts, size_t k,
-    const RetrievalQuality& quality) const {
-  if (NeedsHybridPath(quality)) {
-    std::vector<std::vector<SearchHit>> results;
-    results.reserve(query_texts.size());
-    for (const std::string& text : query_texts) {
-      results.push_back(RetrieveHybrid(text, k, quality));
+    const std::vector<RetrievalQuality>& qualities) const {
+  METIS_CHECK_EQ(qualities.size(), query_texts.size());
+  // Hybrid/filtered queries run their per-query path; the plain remainder
+  // rides one coalesced SearchBatch request.
+  std::vector<std::vector<SearchHit>> results(query_texts.size());
+  std::vector<size_t> plain;
+  std::vector<std::string> texts;
+  SearchRequest request;
+  request.k = k;
+  for (size_t i = 0; i < query_texts.size(); ++i) {
+    if (NeedsHybridPath(qualities[i])) {
+      results[i] = RetrieveHybrid(query_texts[i], k, qualities[i]);
+    } else {
+      plain.push_back(i);
+      texts.push_back(query_texts[i]);
+      request.qualities.push_back(qualities[i]);
     }
+  }
+  if (plain.empty()) {
     return results;
   }
   // GetBatch serves cache hits and embeds the misses in one EmbedBatch
   // (sharded across the search pool), returning owned copies so later cache
   // evictions cannot invalidate the batch.
-  std::vector<Embedding> queries = query_cache_.GetBatch(query_texts, search_pool_);
-  return index_->SearchBatch(queries, k, search_pool_, quality);
-}
-
-std::vector<std::vector<SearchHit>> VectorDatabase::RetrieveBatch(
-    const std::vector<std::string>& query_texts, size_t k,
-    const std::vector<RetrievalQuality>& qualities) const {
-  METIS_CHECK_EQ(qualities.size(), query_texts.size());
-  bool any_hybrid = false;
-  for (const RetrievalQuality& q : qualities) {
-    if (NeedsHybridPath(q)) {
-      any_hybrid = true;
-      break;
-    }
+  request.queries = query_cache_.GetBatch(texts, search_pool_);
+  std::vector<std::vector<SearchHit>> swept = index_->SearchBatch(request, search_pool_);
+  for (size_t j = 0; j < plain.size(); ++j) {
+    results[plain[j]] = std::move(swept[j]);
   }
-  if (any_hybrid) {
-    // Mixed batches split: hybrid/filtered queries run their per-query path,
-    // the plain remainder still rides one coalesced SearchBatch sweep.
-    std::vector<std::vector<SearchHit>> results(query_texts.size());
-    std::vector<size_t> plain;
-    for (size_t i = 0; i < query_texts.size(); ++i) {
-      if (NeedsHybridPath(qualities[i])) {
-        results[i] = RetrieveHybrid(query_texts[i], k, qualities[i]);
-      } else {
-        plain.push_back(i);
-      }
-    }
-    if (!plain.empty()) {
-      std::vector<std::string> texts;
-      std::vector<RetrievalQuality> quals;
-      texts.reserve(plain.size());
-      quals.reserve(plain.size());
-      for (size_t i : plain) {
-        texts.push_back(query_texts[i]);
-        quals.push_back(qualities[i]);
-      }
-      std::vector<Embedding> queries = query_cache_.GetBatch(texts, search_pool_);
-      std::vector<std::vector<SearchHit>> swept =
-          index_->SearchBatch(queries, k, search_pool_, quals);
-      for (size_t j = 0; j < plain.size(); ++j) {
-        results[plain[j]] = std::move(swept[j]);
-      }
-    }
-    return results;
-  }
-  std::vector<Embedding> queries = query_cache_.GetBatch(query_texts, search_pool_);
-  return index_->SearchBatch(queries, k, search_pool_, qualities);
+  return results;
 }
 
 HybridSearchStats VectorDatabase::hybrid_stats() const {

@@ -30,11 +30,16 @@
 //     O(n log k) with O(k) memory instead of materializing and full-sorting
 //     all n candidates. The candidate-order tie-break reproduces the seed's
 //     stable_sort semantics exactly: equal distances rank by insertion order.
-//   - SearchBatch answers many queries in one sweep: rows are visited in
-//     cache-sized blocks and each block is scored against every query in the
-//     batch before moving on, so the index streams through memory once per
-//     block rather than once per query. An optional ThreadPool shards the
-//     batch across workers; results are identical for any thread count.
+//   - Every index has one search entry point, SearchBatch(SearchRequest):
+//     the request carries the queries, k, one RetrievalQuality per query
+//     (probe depth, precision tier) and an id-exclusion filter (metadata
+//     filters, pushed into the scan). Search(query, k, quality) is a
+//     non-virtual one-query wrapper over it. The flat backend answers the
+//     exact queries of a request in one sweep: rows are visited in
+//     cache-sized blocks and each block is scored against every query before
+//     moving on, so the index streams through memory once per block rather
+//     than once per query. An optional ThreadPool shards the batch across
+//     workers; results are identical for any thread count.
 //   - IVF inverted lists and centroids use the same RowPool layout, and
 //     IvfL2Index::Train can shard its O(n * nlist * dim) scans over a pool.
 //   - Row storage is hash-partitioned across N IndexShards (each its own
@@ -54,7 +59,7 @@
 //     max_probes budget. Queries that land inside a cluster stop early;
 //     queries between clusters keep probing — so at equal *average* probe
 //     count, adaptive probing spends the work where recall needs it.
-//   - RetrievalQuality threads a per-call override (fixed vs adaptive, probe
+//   - RetrievalQuality threads a per-query override (fixed vs adaptive, probe
 //     budget) from the serving-stack configuration down to the index, so the
 //     joint scheduler can treat retrieval depth like its other quality knobs
 //     (JointSchedulerOptions::adaptive_nprobe / nprobe_budget).
@@ -125,20 +130,11 @@ struct SearchHit {
   float distance = 0;
 };
 
-// Search hit carrying the backend's candidate order (the (distance, order)
-// tie-break position). The mutable serving index merges base-index hits with
-// memtable/segment hits under that shared total order, so the base has to
-// surface it (see VectorIndex::SearchOrdered and mutable_index.h).
-struct OrderedHit {
-  ChunkId id = -1;
-  float distance = 0;
-  size_t order = 0;
-};
-
-// Non-owning view of a sorted id set excluded from a search (the mutable
-// index's tombstones). Filtering happens *inside* the scan, before top-k
-// selection — post-filtering a top-k would let deleted rows crowd out live
-// ones and break parity with an index built from the live set only.
+// Non-owning view of a sorted id set excluded from a search (a compiled
+// metadata filter, or the mutable index's tombstones). Filtering happens
+// *inside* the scan, before top-k selection — post-filtering a top-k would
+// let excluded rows crowd out live ones and break parity with an index built
+// from the surviving rows only.
 struct IdFilter {
   const ChunkId* begin = nullptr;
   const ChunkId* end = nullptr;
@@ -395,19 +391,52 @@ struct QuantizedCodes {
   std::vector<uint8_t> pq;
 };
 
-// Candidate surfaced by a quantized scan, carrying its row location so the
-// rerank tail can re-score it with the exact kernel. pool == nullptr marks a
-// candidate whose dist is already exact (memtable rows, un-encoded suffixes,
-// fp32 fallbacks); rerank leaves it untouched.
+// Search candidate under the (dist, order) total order, carrying its row
+// location so the rerank tail can re-score a quantized-tier candidate with
+// the exact kernel. pool == nullptr marks a candidate whose dist is already
+// exact (every fp32 scan, memtable rows, un-encoded suffixes); rerank leaves
+// it untouched.
+// Field order packs it into 32 bytes: every scan keeps a heap of these.
 struct QuantCand {
   float dist;
-  size_t order;
   ChunkId id;
+  size_t order;
   const RowPool* pool;
   uint32_t row;
 };
 
 // --- Index interface --------------------------------------------------------
+
+// One search call: the whole retrieval configuration of a (possibly
+// coalesced) group of queries.
+struct SearchRequest {
+  std::vector<Embedding> queries;
+  size_t k = 0;
+  // qualities[i] applies to queries[i] only (probe depth, precision tier);
+  // exactly one per query. Exact backends ignore the probe knobs.
+  std::vector<RetrievalQuality> qualities;
+  // Sorted ids filtered inside every scan (a compiled metadata filter). A
+  // request with a non-empty exclusion runs the exact fp32 tier for every
+  // query: quantized mirrors do not serve filtered scans.
+  IdFilter exclude;
+
+  // Every query at one quality.
+  static SearchRequest Uniform(std::vector<Embedding> queries, size_t k,
+                               const RetrievalQuality& quality = {}) {
+    size_t n = queries.size();
+    return SearchRequest{std::move(queries), k, std::vector<RetrievalQuality>(n, quality), {}};
+  }
+  // Aborts unless there is one quality per query of `dim` floats each.
+  void Check(size_t dim) const;
+  // qualities[i] as served: precision forced to fp32 under an exclusion.
+  RetrievalQuality quality(size_t i) const {
+    RetrievalQuality q = qualities[i];
+    if (!exclude.empty()) {
+      q.precision = RetrievalPrecision::kFp32;
+    }
+    return q;
+  }
+};
 
 // Interface shared by index implementations.
 class VectorIndex {
@@ -415,50 +444,28 @@ class VectorIndex {
   virtual ~VectorIndex() = default;
 
   virtual void Add(ChunkId id, const Embedding& v) = 0;
-  // Returns up to k nearest ids by L2 distance, closest first; ties broken by
-  // insertion order for determinism.
-  virtual std::vector<SearchHit> Search(const Embedding& query, size_t k) const = 0;
-  // Batched search: one result vector per query, each identical to what
-  // Search(queries[i], k) returns. `pool` optionally shards the batch across
-  // workers; results do not depend on the pool size. The default
-  // implementation loops Search; concrete indexes override it with a shared
-  // sweep over their storage.
-  virtual std::vector<std::vector<SearchHit>> SearchBatch(const std::vector<Embedding>& queries,
-                                                          size_t k,
-                                                          ThreadPool* pool = nullptr) const;
-  // Quality-aware variants. Exact backends have no recall knob: the defaults
-  // ignore `quality` and forward to the plain overloads. Approximate backends
-  // (IVF) override them to resolve probing from their policy + the per-call
-  // override, so callers can pass quality through uniformly without knowing
-  // the backend.
-  virtual std::vector<SearchHit> Search(const Embedding& query, size_t k,
-                                        const RetrievalQuality& quality) const {
-    (void)quality;
-    return Search(query, k);
-  }
-  virtual std::vector<std::vector<SearchHit>> SearchBatch(const std::vector<Embedding>& queries,
-                                                          size_t k, ThreadPool* pool,
-                                                          const RetrievalQuality& quality) const {
-    (void)quality;
-    return SearchBatch(queries, k, pool);
-  }
-  // Heterogeneous-quality batch: qualities[i] applies to queries[i] only
-  // (the per-query retrieval-depth knob). results[i] must be bit-identical
-  // to Search(queries[i], k, qualities[i]) for every i. Exact backends
-  // ignore the qualities; the default loops the quality-aware Search, and
-  // concrete indexes override it with a shared sweep.
-  virtual std::vector<std::vector<SearchHit>> SearchBatch(
-      const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
-      const std::vector<RetrievalQuality>& qualities) const;
-  // Top-k with the backend's candidate orders attached and `exclude` (sorted
-  // tombstoned ids) filtered out before selection. This is the base-index
-  // hook for the mutable serving index (mutable_index.h): its memtable and
-  // segment heaps merge with these hits under the shared (distance, order)
-  // total order. The default maps Search's ranks to orders and only supports
-  // an empty filter; the concrete backends override it with real scans.
-  virtual std::vector<OrderedHit> SearchOrdered(const Embedding& query, size_t k,
-                                                const RetrievalQuality& quality,
-                                                const IdFilter& exclude) const;
+  // The one search entry point. results[i] holds up to request.k nearest ids
+  // to queries[i] by L2 distance, closest first, ties broken by insertion
+  // order for determinism; it is bit-identical to answering queries[i] alone
+  // at quality(i). `pool` optionally shards the batch across workers; results
+  // do not depend on the pool size. k == 0 returns empty results without
+  // scanning or recording a probe.
+  virtual std::vector<std::vector<SearchHit>> SearchBatch(const SearchRequest& request,
+                                                          ThreadPool* pool = nullptr) const = 0;
+  // One query: SearchBatch over a one-query request with no exclusion.
+  std::vector<SearchHit> Search(const Embedding& query, size_t k,
+                                const RetrievalQuality& quality = {}) const;
+  // Base-candidate hook for the mutable serving index (mutable_index.h): up
+  // to fetch_k candidates for one query with their candidate orders and row
+  // locations attached, `exclude` filtered out before selection, under the
+  // (distance, order) total order of the tier quality.precision resolves to.
+  // On the fp32 tier (and whenever the tier's mirror is absent) the
+  // candidates are exact (pool == nullptr); on a quantized tier distances are
+  // approximate and the caller's rerank tail re-scores them. Counts toward
+  // probe stats exactly like SearchBatch — the rerank tail is not a probe.
+  virtual std::vector<QuantCand> SearchCandidates(const Embedding& query, size_t fetch_k,
+                                                  const RetrievalQuality& quality,
+                                                  const IdFilter& exclude) const = 0;
   // --- Quantized-tier hooks ---
   // Trains quantizers over the rows added so far and encodes the quantized
   // mirrors (per the backend's QuantizationOptions). Idempotent-by-intent:
@@ -468,16 +475,6 @@ class VectorIndex {
   // The trained quantizers, or null when no mirror exists. The mutable
   // wrapper encodes sealed segments against its base's quantizers.
   virtual const IndexQuantizers* quantizers() const { return nullptr; }
-  // Up to fetch_k candidates under the requested tier's (approx distance,
-  // order) total order, with row locations attached for the exact rerank
-  // tail. SearchOrdered stays exact regardless of quality.precision; this is
-  // the quantized counterpart the mutable index merges from. Falls back to
-  // exact candidates (pool == nullptr) when the tier's mirror is absent. The
-  // default serves exact candidates through SearchOrdered. Counts toward
-  // probe stats exactly like Search — the rerank tail is not a probe.
-  virtual std::vector<QuantCand> SearchQuantCandidates(const Embedding& query, size_t fetch_k,
-                                                       const RetrievalQuality& quality,
-                                                       const IdFilter& exclude) const;
   virtual size_t size() const = 0;
 };
 
@@ -492,37 +489,19 @@ class FlatL2Index : public VectorIndex {
   explicit FlatL2Index(size_t dim, size_t num_shards = 1, QuantizationOptions quant = {});
 
   void Add(ChunkId id, const Embedding& v) override;
-  std::vector<SearchHit> Search(const Embedding& query, size_t k) const override;
-  // quality.precision routes to the quantized mirrors + exact rerank when
-  // mirrors exist; kFp32 (and any tier with no mirror) is the exact path,
-  // bit-identical to the quality-less overload.
-  std::vector<SearchHit> Search(const Embedding& query, size_t k,
-                                const RetrievalQuality& quality) const override;
-  std::vector<std::vector<SearchHit>> SearchBatch(const std::vector<Embedding>& queries,
-                                                  size_t k,
+  // The request's fp32 queries share one shard-major block sweep; queries on
+  // a quantized tier (with a mirror) fan out per query through the mirrors +
+  // exact rerank.
+  std::vector<std::vector<SearchHit>> SearchBatch(const SearchRequest& request,
                                                   ThreadPool* pool = nullptr) const override;
-  std::vector<std::vector<SearchHit>> SearchBatch(const std::vector<Embedding>& queries, size_t k,
-                                                  ThreadPool* pool,
-                                                  const RetrievalQuality& quality) const override;
-  // Heterogeneous batch: fp32 queries ride the plain shared sweep; quantized
-  // queries fan out per query. results[i] is bit-identical to
-  // Search(queries[i], k, qualities[i]).
-  std::vector<std::vector<SearchHit>> SearchBatch(
-      const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
-      const std::vector<RetrievalQuality>& qualities) const override;
-  // Exact scan with tombstone filtering; orders are global insertion orders.
-  // Always exact regardless of quality.precision (the quantized counterpart
-  // is SearchQuantCandidates).
-  std::vector<OrderedHit> SearchOrdered(const Embedding& query, size_t k,
-                                        const RetrievalQuality& quality,
-                                        const IdFilter& exclude) const override;
+  // Candidate orders are global insertion orders.
+  std::vector<QuantCand> SearchCandidates(const Embedding& query, size_t fetch_k,
+                                          const RetrievalQuality& quality,
+                                          const IdFilter& exclude) const override;
   bool BuildQuantizedMirrors() override;
   const IndexQuantizers* quantizers() const override {
     return quantized_ ? &quantizers_ : nullptr;
   }
-  std::vector<QuantCand> SearchQuantCandidates(const Embedding& query, size_t fetch_k,
-                                               const RetrievalQuality& quality,
-                                               const IdFilter& exclude) const override;
   size_t size() const override { return count_; }
   size_t num_shards() const { return shards_.size(); }
   // Scan-tier bytes per row (padded strides included): the memory the hot
@@ -553,31 +532,20 @@ class IvfL2Index : public VectorIndex {
              QuantizationOptions quant = {});
 
   void Add(ChunkId id, const Embedding& v) override;
-  std::vector<SearchHit> Search(const Embedding& query, size_t k) const override;
-  std::vector<std::vector<SearchHit>> SearchBatch(const std::vector<Embedding>& queries,
-                                                  size_t k,
+  // Probing is resolved per query from the index's policy and quality(i)
+  // (see RetrievalQuality). The request's fp32 queries share the three-phase
+  // plan/scan/merge sweep; quantized-tier queries fan out per query. Probe
+  // schedules, results and probe accounting are bit-identical to one-query
+  // requests.
+  std::vector<std::vector<SearchHit>> SearchBatch(const SearchRequest& request,
                                                   ThreadPool* pool = nullptr) const override;
-  // Quality-aware variants: probing is resolved from the index's policy and
-  // the per-call override (see RetrievalQuality). The plain overrides above
-  // forward here with the default quality.
-  std::vector<SearchHit> Search(const Embedding& query, size_t k,
-                                const RetrievalQuality& quality) const override;
-  std::vector<std::vector<SearchHit>> SearchBatch(const std::vector<Embedding>& queries, size_t k,
-                                                  ThreadPool* pool,
-                                                  const RetrievalQuality& quality) const override;
-  // Heterogeneous per-query qualities: the coalesced sweep resolves one
-  // ProbePlan per query from qualities[i] — probe schedules, results, and
-  // probe accounting are bit-identical to per-query Search calls (the
-  // uniform-quality overloads all funnel here).
-  std::vector<std::vector<SearchHit>> SearchBatch(
-      const std::vector<Embedding>& queries, size_t k, ThreadPool* pool,
-      const std::vector<RetrievalQuality>& qualities) const override;
-  // Probed scan with tombstone filtering; orders are the probe-concatenation
-  // positions (the same orders the plain Search selects under). Counts toward
-  // the probe stats exactly like Search.
-  std::vector<OrderedHit> SearchOrdered(const Embedding& query, size_t k,
-                                        const RetrievalQuality& quality,
-                                        const IdFilter& exclude) const override;
+  // Candidate orders are the probe-concatenation positions. Probe planning
+  // (centroid ranking, adaptive rule) is always fp32, so a quantized query
+  // probes exactly the lists its fp32 twin would — probe counts are
+  // tier-invariant.
+  std::vector<QuantCand> SearchCandidates(const Embedding& query, size_t fetch_k,
+                                          const RetrievalQuality& quality,
+                                          const IdFilter& exclude) const override;
   // Trains quantizers over the inverted lists and encodes per-list-shard
   // mirrors. Call after Train(); rows added later are scanned exactly (the
   // un-encoded-suffix rule).
@@ -585,12 +553,6 @@ class IvfL2Index : public VectorIndex {
   const IndexQuantizers* quantizers() const override {
     return quantized_ ? &quantizers_ : nullptr;
   }
-  // Probe planning (centroid ranking, adaptive rule) is always fp32, so a
-  // quantized query probes exactly the lists its fp32 twin would — probe
-  // counts are tier-invariant, and the rerank tail never counts as a probe.
-  std::vector<QuantCand> SearchQuantCandidates(const Embedding& query, size_t fetch_k,
-                                               const RetrievalQuality& quality,
-                                               const IdFilter& exclude) const override;
   // Scan-tier bytes per row (see FlatL2Index::bytes_per_row).
   size_t bytes_per_row(RetrievalPrecision tier) const;
   // O(1): a running count maintained by Add()/Train().
@@ -673,19 +635,6 @@ class IvfL2Index : public VectorIndex {
   ProbeSet PlanProbes(const float* q, double qnorm, const ProbePlan& plan) const;
 
   size_t NearestCentroid(const float* v) const;
-  std::vector<SearchHit> SearchOne(const float* q, size_t k, const ProbePlan& plan,
-                                   uint64_t* probes_used) const;
-  std::vector<OrderedHit> SearchOneOrdered(const float* q, size_t k, const ProbePlan& plan,
-                                           const IdFilter& exclude, uint64_t* probes_used) const;
-  // Quantized candidate generation over the probed lists (tier must have a
-  // mirror; the callers resolve fallbacks). Does not touch the probe stats —
-  // callers record, like the exact SearchOne paths' callers.
-  std::vector<QuantCand> QuantCandidatesOne(const float* q, size_t fetch_k,
-                                            RetrievalPrecision tier, const ProbePlan& plan,
-                                            const IdFilter& exclude, uint64_t* probes_used) const;
-  std::vector<SearchHit> SearchOneQuant(const float* q, size_t k, RetrievalPrecision tier,
-                                        const RetrievalQuality& quality, const ProbePlan& plan,
-                                        uint64_t* probes_used) const;
 
   size_t dim_;
   size_t nlist_;
@@ -862,22 +811,18 @@ class VectorDatabase {
   // Embeds the query text and returns the top-k chunks, closest first.
   // Query embeddings are memoized (EmbeddingCache), so repeated retrievals of
   // the same text — config sweeps, golden-config feedback — skip re-embedding.
-  // `quality` tunes the IVF probe knobs for this call; exact backends ignore
-  // it.
+  // `quality` is the query's whole retrieval configuration: probe knobs,
+  // precision tier, hybrid weights and metadata filter.
   std::vector<ChunkId> Retrieve(const std::string& query_text, size_t k,
                                 const RetrievalQuality& quality = {}) const;
   std::vector<SearchHit> RetrieveWithDistances(const std::string& query_text, size_t k,
                                                const RetrievalQuality& quality = {}) const;
 
-  // Batched retrieval: embeds every query (through the memo cache) and runs
-  // one SearchBatch sweep over the index. results[i] matches what
-  // RetrieveWithDistances(query_texts[i], k, quality) returns.
-  std::vector<std::vector<SearchHit>> RetrieveBatch(const std::vector<std::string>& query_texts,
-                                                    size_t k,
-                                                    const RetrievalQuality& quality = {}) const;
-  // Heterogeneous variant: qualities[i] applies to query_texts[i] only, so a
-  // coalesced group can carry one retrieval depth per query. results[i]
-  // matches RetrieveWithDistances(query_texts[i], k, qualities[i]).
+  // Batched retrieval: qualities[i] applies to query_texts[i] only, so a
+  // coalesced group can carry one retrieval configuration per query. Plain
+  // dense queries are embedded through the memo cache and answered by one
+  // SearchBatch request; hybrid/filtered ones run their per-query path.
+  // results[i] matches RetrieveWithDistances(query_texts[i], k, qualities[i]).
   std::vector<std::vector<SearchHit>> RetrieveBatch(
       const std::vector<std::string>& query_texts, size_t k,
       const std::vector<RetrievalQuality>& qualities) const;
@@ -910,7 +855,8 @@ class VectorDatabase {
  private:
   // The hybrid/filtered retrieval path behind RetrieveWithDistances: runs the
   // weighted dense/lexical legs with the filter's exclusion set pushed into
-  // both scans and fuses by weighted reciprocal rank.
+  // both scans (the dense leg as one SearchRequest with `exclude` set) and
+  // fuses by weighted reciprocal rank.
   std::vector<SearchHit> RetrieveHybrid(const std::string& query_text, size_t k,
                                         const RetrievalQuality& quality) const;
   // Compiles quality.filter into a sorted excluded-id vector (ids FAILING the

@@ -167,131 +167,6 @@ TEST_F(EngineReuseTest, EagerDefaultNeverRetains) {
   EXPECT_EQ(stats.retained_expirations, 0u);
 }
 
-// ---------- Adaptive prefix retention ----------
-
-class AdaptiveRetentionTest : public EngineReuseTest {
- protected:
-  // Fixed 0.2 s grace plus the adaptive estimator; repeats arrive ~1 s apart,
-  // so the fixed window alone always expires the parked prefix first.
-  EngineConfig AdaptiveConfig() {
-    EngineConfig cfg = Config();
-    cfg.prefix_retention_s = 0.2;
-    cfg.adaptive_prefix_retention = true;
-    return cfg;
-  }
-
-  static void SubmitShared(LlmEngine* engine) {
-    InferenceRequest req;
-    req.prompt_tokens = 1000;
-    req.output_tokens = 5;
-    req.prefix_group = 9;
-    req.shared_prefix_tokens = 600;
-    req.on_complete = [](const RequestTiming&) {};
-    engine->Submit(std::move(req));
-  }
-};
-
-TEST_F(AdaptiveRetentionTest, DefaultsOffAndWindowStaysFixedWhenDisabled) {
-  // Ships disabled, with pinned tuning constants.
-  EngineConfig defaults;
-  EXPECT_FALSE(defaults.adaptive_prefix_retention);
-  EXPECT_DOUBLE_EQ(defaults.adaptive_retention_mult, 2.0);
-  EXPECT_DOUBLE_EQ(defaults.adaptive_retention_min_s, 0.05);
-  EXPECT_DOUBLE_EQ(defaults.adaptive_retention_max_s, 5.0);
-
-  // Flag off: RetentionS is the fixed window no matter how many hot repeats
-  // arrive — bit-parity with the fixed-window engine.
-  Simulator sim;
-  EngineConfig cfg = Config();
-  cfg.prefix_retention_s = 0.7;
-  LlmEngine engine(&sim, cfg, 1);
-  SubmitShared(&engine);
-  sim.ScheduleAt(1.0, [&] {
-    SubmitShared(&engine);
-    EXPECT_DOUBLE_EQ(engine.RetentionS(), 0.7);
-  });
-  sim.Run();
-  EXPECT_DOUBLE_EQ(engine.RetentionS(), 0.7);
-}
-
-TEST_F(AdaptiveRetentionTest, FixedWindowUntilFirstRepeatThenEwmaTimesMult) {
-  Simulator sim;
-  LlmEngine engine(&sim, AdaptiveConfig(), 1);
-  SubmitShared(&engine);
-  // No repeat observed yet: the fixed window applies.
-  EXPECT_DOUBLE_EQ(engine.RetentionS(), 0.2);
-  sim.ScheduleAt(1.0, [&] {
-    SubmitShared(&engine);
-    // First gap (1.0 s) seeds the EWMA directly: window = 2.0 * 1.0.
-    EXPECT_DOUBLE_EQ(engine.RetentionS(), 2.0);
-  });
-  sim.ScheduleAt(1.5, [&] {
-    SubmitShared(&engine);
-    // EWMA = 0.8 * 1.0 + 0.2 * 0.5 = 0.9 -> window 1.8.
-    EXPECT_NEAR(engine.RetentionS(), 1.8, 1e-9);
-  });
-  sim.Run();
-  EXPECT_EQ(engine.stats().completed, 3u);
-}
-
-TEST_F(AdaptiveRetentionTest, WindowClampsToConfiguredBounds) {
-  Simulator sim;
-  EngineConfig cfg = AdaptiveConfig();
-  cfg.adaptive_retention_min_s = 3.0;
-  cfg.adaptive_retention_max_s = 5.0;
-  LlmEngine engine(&sim, cfg, 1);
-  SubmitShared(&engine);
-  sim.ScheduleAt(1.0, [&] {
-    SubmitShared(&engine);
-    // Raw window 2.0 * 1.0 = 2.0 clamps UP to min_s.
-    EXPECT_DOUBLE_EQ(engine.RetentionS(), 3.0);
-  });
-  sim.ScheduleAt(21.0, [&] {
-    SubmitShared(&engine);
-    // EWMA = 0.8 * 1.0 + 0.2 * 20.0 = 4.8; raw 9.6 clamps DOWN to max_s.
-    EXPECT_DOUBLE_EQ(engine.RetentionS(), 5.0);
-  });
-  sim.Run();
-  EXPECT_EQ(engine.stats().completed, 3u);
-}
-
-TEST_F(AdaptiveRetentionTest, AdaptiveWindowCarriesPrefixTheFixedWindowDrops) {
-  // Repeats every ~1 s against a 0.2 s fixed grace: the fixed engine expires
-  // the parked prefix before every repeat and pays full prefill; the adaptive
-  // engine learns a ~2 s window at the first repeat (expiry is evaluated
-  // lazily against the CURRENT window, so it extends retroactively) and
-  // revives the prefix from then on.
-  auto run = [](bool adaptive) {
-    Simulator sim;
-    EngineConfig cfg;
-    cfg.model = Mistral7BAwq();
-    cfg.kv_pool_bytes = 4.0 * kGiB;
-    cfg.prefix_sharing = true;
-    cfg.policy = AdmissionPolicy::kGroupAware;
-    cfg.prefix_retention_s = 0.2;
-    cfg.adaptive_prefix_retention = adaptive;
-    LlmEngine engine(&sim, cfg, 1);
-    SubmitShared(&engine);
-    sim.ScheduleAt(1.0, [&] { SubmitShared(&engine); });
-    sim.ScheduleAt(2.0, [&] { SubmitShared(&engine); });
-    sim.Run();
-    EXPECT_EQ(engine.stats().completed, 3u);
-    return engine.stats();
-  };
-
-  EngineStats fixed = run(/*adaptive=*/false);
-  EXPECT_EQ(fixed.prefill_tokens_saved, 0);
-  EXPECT_EQ(fixed.retained_prefix_hits, 0u);
-  EXPECT_EQ(fixed.retained_expirations, 2u);
-  EXPECT_EQ(fixed.prefill_tokens, 3 * 1000);
-
-  EngineStats adaptive = run(/*adaptive=*/true);
-  EXPECT_EQ(adaptive.prefill_tokens_saved, 2 * 600);
-  EXPECT_EQ(adaptive.retained_prefix_hits, 2u);
-  EXPECT_EQ(adaptive.retained_expirations, 0u);
-  EXPECT_EQ(adaptive.prefill_tokens, 3 * 1000 - 2 * 600);
-}
-
 // ---------- Bugfix regressions ----------
 
 TEST(EngineAdmissionTest, NearPoolSizedRequestAdmitsOnEmptyPool) {

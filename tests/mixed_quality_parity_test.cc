@@ -112,7 +112,7 @@ TEST(MixedQualityParityTest, IvfBatchMatchesPerQueryScansAcrossShardsAndThreads)
     for (size_t threads : {size_t{1}, size_t{4}}) {
       ThreadPool pool(threads);
       std::vector<std::vector<SearchHit>> got =
-          ivf.SearchBatch(queries, kTopK, &pool, qualities);
+          ivf.SearchBatch(SearchRequest{queries, kTopK, qualities, {}}, &pool);
       ProbeSnapshot got_probes = SnapshotAndReset(ivf);
 
       ASSERT_EQ(got.size(), want.size());
@@ -148,7 +148,7 @@ TEST(MixedQualityParityTest, FlatBatchIgnoresQualitiesAndMatchesPerQueryScans) {
     for (size_t threads : {size_t{1}, size_t{4}}) {
       ThreadPool pool(threads);
       std::vector<std::vector<SearchHit>> got =
-          flat.SearchBatch(queries, kTopK, &pool, qualities);
+          flat.SearchBatch(SearchRequest{queries, kTopK, qualities, {}}, &pool);
       ASSERT_EQ(got.size(), want.size());
       for (size_t i = 0; i < got.size(); ++i) {
         ExpectHitsBitEqual(got[i], want[i],

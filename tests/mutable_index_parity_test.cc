@@ -172,7 +172,7 @@ TEST_P(MutableIndexParityTest, RandomInterleavingsMatchFreshBuild) {
     RetrievalQuality quality =
         pc.backend == RetrievalIndexOptions::Backend::kIvf ? full_probe : RetrievalQuality{};
     std::vector<std::vector<SearchHit>> batch =
-        index.SearchBatch(queries, kTopK, batch_pool, quality);
+        index.SearchBatch(SearchRequest::Uniform(queries, kTopK, quality), batch_pool);
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       std::vector<SearchHit> want = ref.Search(queries[qi], kTopK);
       ExpectBitEqual(index.Search(queries[qi], kTopK, quality), want, when);

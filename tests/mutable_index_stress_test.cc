@@ -96,9 +96,11 @@ TEST(MutableIndexStressTest, ConcurrentIngestAndQueriesSeeOneEpoch) {
       std::shared_ptr<const MutableEpoch> epoch = index.PinEpoch();
       if (verifications < 60 && rng.Bernoulli(0.25)) {
         FlatL2Index ref = EpochReference(index, *epoch);
-        std::vector<SearchHit> got = index.SearchPinned(*epoch, q, kTopK, FullProbe());
+        std::vector<SearchHit> got =
+            index.SearchPinned(*epoch, SearchRequest::Uniform({q}, kTopK, FullProbe()))[0];
         ExpectBitEqual(got, ref.Search(q, kTopK));
-        ExpectBitEqual(index.SearchPinned(*epoch, q, kTopK, FullProbe()), got);
+        ExpectBitEqual(
+            index.SearchPinned(*epoch, SearchRequest::Uniform({q}, kTopK, FullProbe()))[0], got);
         ++verifications;
       } else {
         // Serving-quality search on the live index: structural invariants
@@ -170,7 +172,8 @@ TEST(MutableIndexStressTest, ConcurrentIngestAndQueriesSeeOneEpoch) {
   Rng qrng(0xF00D);
   for (int i = 0; i < 5; ++i) {
     Embedding q = RandomVec(qrng);
-    ExpectBitEqual(index.SearchPinned(*epoch, q, kTopK, FullProbe()), ref.Search(q, kTopK));
+    ExpectBitEqual(index.SearchPinned(*epoch, SearchRequest::Uniform({q}, kTopK, FullProbe()))[0],
+                   ref.Search(q, kTopK));
   }
 }
 
@@ -194,7 +197,8 @@ TEST(MutableIndexStressTest, PinnedEpochSurvivesLaterMutations) {
 
   std::shared_ptr<const MutableEpoch> pinned = index.PinEpoch();
   Embedding q = RandomVec(rng);
-  std::vector<SearchHit> before = index.SearchPinned(*pinned, q, kTopK, FullProbe());
+  std::vector<SearchHit> before =
+      index.SearchPinned(*pinned, SearchRequest::Uniform({q}, kTopK, FullProbe()))[0];
 
   for (int op = 0; op < 300; ++op) {
     if (op % 3 == 0 && next_id > 5) {
@@ -204,7 +208,8 @@ TEST(MutableIndexStressTest, PinnedEpochSurvivesLaterMutations) {
     }
   }
   index.RetrainBase();
-  ExpectBitEqual(index.SearchPinned(*pinned, q, kTopK, FullProbe()), before);
+  ExpectBitEqual(index.SearchPinned(*pinned, SearchRequest::Uniform({q}, kTopK, FullProbe()))[0],
+                 before);
   EXPECT_GT(index.stats().retrains, 0u);
 }
 

@@ -153,6 +153,10 @@ TEST(OverloadControllerTest, ShedPrecisionRungSitsBetweenCheapSynthesisAndReject
             RetrievalPrecisionCost(RetrievalPrecision::kPq));
   controller.NotePrecisionShed();
   EXPECT_EQ(controller.stats().precision_shed, 1u);
+  // Hybrid-shed accounting rides the same stats block.
+  EXPECT_EQ(controller.stats().hybrid_shed, 0u);
+  controller.NoteHybridShed();
+  EXPECT_EQ(controller.stats().hybrid_shed, 1u);
 }
 
 TEST(OverloadControllerTest, RungThresholdDefaultsArePinned) {
@@ -165,61 +169,6 @@ TEST(OverloadControllerTest, RungThresholdDefaultsArePinned) {
   EXPECT_DOUBLE_EQ(defaults.cheap_synthesis_at, 1.5);
   EXPECT_DOUBLE_EQ(defaults.shed_precision_at, 2.0);
   EXPECT_DOUBLE_EQ(defaults.reject_at, 2.5);
-  // The service-estimate pressure term ships disabled: three-term parity.
-  EXPECT_DOUBLE_EQ(defaults.service_ref_s, 0.0);
-}
-
-TEST(OverloadControllerTest, ServiceTermOffIsBitForBitInert) {
-  // service_ref_s == 0 (default): feeding estimates must not perturb the
-  // pressure score at all — the EWMA may accumulate, the term never fires.
-  ControllerFixture f;
-  OverloadOptions options;
-  options.enabled = true;
-  OverloadController controller(&f.engine, TwoClasses(), options);
-  EXPECT_DOUBLE_EQ(controller.Pressure(), 0.0);
-  for (int i = 0; i < 8; ++i) {
-    controller.ObserveServiceEstimate(100.0);
-  }
-  EXPECT_DOUBLE_EQ(controller.Pressure(), 0.0);
-  EXPECT_EQ(controller.Assess(), OverloadLevel::kNone);
-}
-
-TEST(OverloadControllerTest, ServiceTermClimbsLadderOnPredictedServiceAlone) {
-  // With an idle engine (all queue terms zero) the EWMA'd service estimate is
-  // the only pressure source, so each rung is crossed at an exactly
-  // predictable observation count: ewma_{n+1} = 0.8*ewma_n + 0.2*est.
-  ControllerFixture f;
-  OverloadOptions options;
-  options.enabled = true;
-  options.service_ref_s = 1.0;  // pressure == service EWMA, directly.
-  OverloadController controller(&f.engine, TwoClasses(), options);
-
-  // Zero/negative estimates (decisions with no model, e.g. MedianOfSpace)
-  // are ignored rather than decaying the EWMA toward zero.
-  controller.ObserveServiceEstimate(0.0);
-  controller.ObserveServiceEstimate(-1.0);
-  EXPECT_DOUBLE_EQ(controller.mean_service_estimate(), 0.0);
-
-  controller.ObserveServiceEstimate(4.0);  // ewma = 0.2 * 4.0 = 0.8.
-  EXPECT_NEAR(controller.Pressure(), 0.8, 1e-9);
-  EXPECT_EQ(controller.Assess(), OverloadLevel::kShedDepth);  // >= 0.75.
-
-  controller.ObserveServiceEstimate(4.8);  // ewma = 0.64 + 0.96 = 1.6.
-  EXPECT_NEAR(controller.Pressure(), 1.6, 1e-9);
-  EXPECT_EQ(controller.Assess(), OverloadLevel::kCheapSynthesis);  // >= 1.5.
-
-  controller.ObserveServiceEstimate(4.1);  // ewma = 1.28 + 0.82 = 2.1.
-  EXPECT_NEAR(controller.Pressure(), 2.1, 1e-9);
-  EXPECT_EQ(controller.Assess(), OverloadLevel::kShedPrecision);  // >= 2.0.
-
-  controller.ObserveServiceEstimate(4.8);  // ewma = 1.68 + 0.96 = 2.64.
-  EXPECT_NEAR(controller.Pressure(), 2.64, 1e-9);
-  EXPECT_EQ(controller.Assess(), OverloadLevel::kReject);  // >= 2.5.
-
-  // Hybrid-shed accounting rides the same stats block.
-  EXPECT_EQ(controller.stats().hybrid_shed, 0u);
-  controller.NoteHybridShed();
-  EXPECT_EQ(controller.stats().hybrid_shed, 1u);
 }
 
 TEST(OverloadControllerTest, ThresholdValidationAborts) {

@@ -180,8 +180,8 @@ TEST(QuantStaticTest, Fp32QueriesBitIdenticalToQuantFreeIndex) {
     }
     // Batch path, all-fp32 qualities: must take the bit-identical sweep.
     std::vector<RetrievalQuality> quals(queries.size());
-    auto got = quant->SearchBatch(queries, 10, &pool, quals);
-    auto want = plain->SearchBatch(queries, 10, &pool);
+    auto got = quant->SearchBatch(SearchRequest{queries, 10, quals, {}}, &pool);
+    auto want = plain->SearchBatch(SearchRequest::Uniform(queries, 10), &pool);
     ASSERT_EQ(got.size(), want.size());
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       ExpectBitEqual(got[qi], want[qi], CaseName(c) + " batch q=" + std::to_string(qi));
@@ -220,7 +220,7 @@ TEST(QuantStaticTest, QuantizedResultsInvariantAcrossShardsAndThreads) {
           }
           // Batched with per-query qualities (exercises the split path).
           std::vector<RetrievalQuality> quals(queries.size(), quality);
-          auto got = index->SearchBatch(queries, 10, &pool, quals);
+          auto got = index->SearchBatch(SearchRequest{queries, 10, quals, {}}, &pool);
           for (size_t qi = 0; qi < queries.size(); ++qi) {
             ExpectBitEqual(got[qi], want[qi], ctx + " batch q=" + std::to_string(qi));
           }
@@ -242,7 +242,7 @@ TEST(QuantStaticTest, MixedQualityBatchMatchesPerQuerySearch) {
     quals[qi].precision = static_cast<RetrievalPrecision>(qi % 3);
     quals[qi].rerank_factor = 4;
   }
-  auto got = index->SearchBatch(queries, 10, &pool, quals);
+  auto got = index->SearchBatch(SearchRequest{queries, 10, quals, {}}, &pool);
   ASSERT_EQ(got.size(), queries.size());
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     ExpectBitEqual(got[qi], index->Search(queries[qi], 10, quals[qi]),

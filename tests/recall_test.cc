@@ -199,7 +199,7 @@ TEST(AdaptiveProbeTest, BatchAccountingMatchesSequential) {
   for (size_t threads : {0u, 4u}) {
     ThreadPool pool(threads);
     ivf.ResetProbeStats();
-    ivf.SearchBatch(queries, 5, threads == 0 ? nullptr : &pool);
+    ivf.SearchBatch(SearchRequest::Uniform(queries, 5), threads == 0 ? nullptr : &pool);
     EXPECT_EQ(ivf.probes_issued(), sequential_probes) << "threads=" << threads;
     EXPECT_EQ(ivf.searches(), queries.size());
   }
@@ -314,7 +314,7 @@ TEST(VectorDatabaseIvfTest, IvfBackendRetrievesAndHonorsQuality) {
   // than exhaustive, and batch retrieval agrees with per-query retrieval.
   db.ivf_index()->ResetProbeStats();
   std::vector<std::string> queries = {"stadium county game", "budget vote meeting"};
-  auto batched = db.RetrieveBatch(queries, 3);
+  auto batched = db.RetrieveBatch(queries, 3, std::vector<RetrievalQuality>(queries.size()));
   ASSERT_EQ(batched.size(), 2u);
   for (size_t i = 0; i < queries.size(); ++i) {
     auto direct = db.RetrieveWithDistances(queries[i], 3);

@@ -314,7 +314,8 @@ TEST(RetrievalParityTest, SearchBatchMatchesSeedForEveryThreadCount) {
   // No pool (inline), then pools of 1, 2, 4, 8 workers.
   for (size_t threads : {0u, 1u, 2u, 4u, 8u}) {
     ThreadPool pool(threads);
-    auto got = index.SearchBatch(queries, kK, threads == 0 ? nullptr : &pool);
+    auto got =
+        index.SearchBatch(SearchRequest::Uniform(queries, kK), threads == 0 ? nullptr : &pool);
     ASSERT_EQ(got.size(), queries.size());
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       ExpectSameRanking(got[qi], want[qi],
@@ -358,7 +359,7 @@ TEST(RetrievalParityTest, IvfSearchBatchMatchesSequentialSearch) {
   }
   for (size_t threads : {0u, 2u, 8u}) {
     ThreadPool pool(threads);
-    auto got = ivf.SearchBatch(queries, 9, threads == 0 ? nullptr : &pool);
+    auto got = ivf.SearchBatch(SearchRequest::Uniform(queries, 9), threads == 0 ? nullptr : &pool);
     ASSERT_EQ(got.size(), queries.size());
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       ExpectSameRanking(got[qi], ivf.Search(queries[qi], 9), "q=" + std::to_string(qi));
@@ -456,7 +457,7 @@ TEST(ShardedParityTest, FlatShardedBitEqualForAnyShardAndThreadCount) {
     // Batched path: per-(shard x query) heaps merged, across thread counts.
     for (size_t threads : {size_t{1}, size_t{4}}) {
       ThreadPool pool(threads);
-      auto got = index.SearchBatch(queries, kK, &pool);
+      auto got = index.SearchBatch(SearchRequest::Uniform(queries, kK), &pool);
       ASSERT_EQ(got.size(), queries.size());
       for (size_t qi = 0; qi < queries.size(); ++qi) {
         ExpectBitEqualHits(got[qi], want[qi],
@@ -517,8 +518,8 @@ TEST(ShardedParityTest, IvfShardedBitEqualForAnyShardAndThreadCount) {
       }
       for (size_t threads : {size_t{1}, size_t{4}}) {
         ThreadPool pool(threads);
-        auto got = ivf.SearchBatch(queries, kK, &pool, quality);
-        auto want = reference.SearchBatch(queries, kK, nullptr, quality);
+        auto got = ivf.SearchBatch(SearchRequest::Uniform(queries, kK, quality), &pool);
+        auto want = reference.SearchBatch(SearchRequest::Uniform(queries, kK, quality));
         ASSERT_EQ(got.size(), want.size());
         for (size_t qi = 0; qi < queries.size(); ++qi) {
           ExpectBitEqualHits(got[qi], want[qi],
@@ -555,10 +556,10 @@ TEST(ShardedParityTest, ShardedProbeAccountingMatchesSingleShard) {
       ivf.Add(static_cast<ChunkId>(i), corpus[i]);
     }
     ivf.Train();
-    ivf.SearchBatch(queries, 5, nullptr);
+    ivf.SearchBatch(SearchRequest::Uniform(queries, 5));
     fixed_means.push_back(ivf.mean_probes());
     ivf.ResetProbeStats();
-    ivf.SearchBatch(queries, 5, nullptr, adaptive);
+    ivf.SearchBatch(SearchRequest::Uniform(queries, 5, adaptive));
     adaptive_means.push_back(ivf.mean_probes());
   }
   EXPECT_EQ(fixed_means[0], fixed_means[1]);
@@ -608,7 +609,7 @@ TEST(RetrievalParityTest, RetrieveBatchMatchesSequentialRetrieve) {
       "what county is the kimbrough stadium in",  // Repeat: exercises the cache.
       "budget vote at the committee meeting",
   };
-  auto batched = db.RetrieveBatch(queries, 4);
+  auto batched = db.RetrieveBatch(queries, 4, std::vector<RetrievalQuality>(queries.size()));
   ASSERT_EQ(batched.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     auto direct = db.RetrieveWithDistances(queries[i], 4);

@@ -95,7 +95,7 @@ TEST(FlatL2IndexTest, SearchBatchMatchesPerQuerySearch) {
   index.Add(1, MakeVec({1.0f, 0.0f}));
   index.Add(2, MakeVec({0.0f, 2.0f}));
   std::vector<Embedding> queries = {MakeVec({0.9f, 0.1f}), MakeVec({0.0f, 1.9f})};
-  auto batched = index.SearchBatch(queries, 2);
+  auto batched = index.SearchBatch(SearchRequest::Uniform(queries, 2));
   ASSERT_EQ(batched.size(), 2u);
   for (size_t q = 0; q < queries.size(); ++q) {
     auto single = index.Search(queries[q], 2);

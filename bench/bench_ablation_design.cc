@@ -46,10 +46,10 @@ int main() {
   bool full_is_best = true;
   for (const Variant& v : variants) {
     MixedRunSpec spec;
-    spec.queries_per_dataset = 120;
-    spec.seed = kSeed;
-    spec.system = SystemKind::kMetis;
-    spec.scheduler = v.options;
+    spec.base.num_queries = 120;
+    spec.base.seed = kSeed;
+    spec.base.system = SystemKind::kMetis;
+    spec.base.scheduler = v.options;
     auto results = RunMixedExperiment(spec);
     double f1 = 0, delay = 0, p90 = 0;
     for (const RunMetrics& m : results) {

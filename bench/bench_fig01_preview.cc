@@ -15,17 +15,17 @@ int main() {
   RagConfig best = BestQualityFixed(scores);
 
   MixedRunSpec spec;  // Full concurrent workload; FinSec slice reported.
-  spec.queries_per_dataset = kQueries;
-  spec.seed = kSeed;
+  spec.base.num_queries = kQueries;
+  spec.base.seed = kSeed;
 
-  spec.system = SystemKind::kMetis;
+  spec.base.system = SystemKind::kMetis;
   RunMetrics metis = RunMixedExperiment(spec)[2];
-  spec.system = SystemKind::kAdaptiveRag;
+  spec.base.system = SystemKind::kAdaptiveRag;
   RunMetrics adaptive = RunMixedExperiment(spec)[2];
   spec.fixed_configs = {best};
-  spec.system = SystemKind::kParrotFixed;
+  spec.base.system = SystemKind::kParrotFixed;
   RunMetrics parrot = RunMixedExperiment(spec)[2];
-  spec.system = SystemKind::kVllmFixed;
+  spec.base.system = SystemKind::kVllmFixed;
   RunMetrics vllm = RunMixedExperiment(spec)[2];
 
   Table table("Figure 1: METIS on KG RAG FinSec vs baselines");

@@ -33,14 +33,14 @@ int main() {
 
   MixedRunSpec spec;
   spec.datasets = datasets;
-  spec.queries_per_dataset = kQueries;
-  spec.seed = kSeed;
+  spec.base.num_queries = kQueries;
+  spec.base.seed = kSeed;
 
-  spec.system = SystemKind::kMetis;
+  spec.base.system = SystemKind::kMetis;
   auto metis = RunMixedExperiment(spec);
-  spec.system = SystemKind::kAdaptiveRag;
+  spec.base.system = SystemKind::kAdaptiveRag;
   auto adaptive = RunMixedExperiment(spec);
-  spec.system = SystemKind::kVllmFixed;
+  spec.base.system = SystemKind::kVllmFixed;
   spec.fixed_configs = best_quality;
   auto vllm_best = RunMixedExperiment(spec);
 
@@ -90,7 +90,7 @@ int main() {
     spec.fixed_configs = similar;
     vllm_similar = RunMixedExperiment(spec);
   }
-  spec.system = SystemKind::kParrotFixed;
+  spec.base.system = SystemKind::kParrotFixed;
   spec.fixed_configs = similar;
   auto parrot_similar = RunMixedExperiment(spec);
 

@@ -19,9 +19,9 @@ int main() {
   // dataset's own best-quality static config. Rate chosen so the fixed
   // baseline is congested but stable, making stage ratios interpretable.
   MixedRunSpec proto;
-  proto.queries_per_dataset = kQueries;
-  proto.rate_per_dataset = 1.4;
-  proto.seed = kSeed;
+  proto.base.num_queries = kQueries;
+  proto.base.arrival_rate = 1.4;
+  proto.base.seed = kSeed;
   std::vector<RagConfig> best_configs;
   for (const auto& dsname : proto.datasets) {
     auto ds = GetOrGenerateDataset(dsname, kQueries, "cohere-embed-v3-sim", kSeed);
@@ -39,22 +39,22 @@ int main() {
     }
 
     // (0) vLLM, best-quality fixed config per dataset.
-    spec.system = SystemKind::kVllmFixed;
+    spec.base.system = SystemKind::kVllmFixed;
     spec.fixed_configs = best_configs;
     double base = RunMixedExperiment(spec)[slice].mean_delay();
 
     // (1) Profiler + median-of-space config, no batching, no joint scheduling.
-    spec.system = SystemKind::kMetis;
-    spec.metis.pick = MetisSystem::ConfigPick::kMedianOfSpace;
-    spec.override_prefix_sharing = false;
+    spec.base.system = SystemKind::kMetis;
+    spec.base.metis.pick = MetisSystem::ConfigPick::kMedianOfSpace;
+    spec.base.override_prefix_sharing = false;
     double median = RunMixedExperiment(spec)[slice].mean_delay();
 
     // (2) + group-aware batching with prefix sharing.
-    spec.override_prefix_sharing = true;
+    spec.base.override_prefix_sharing = true;
     double batching = RunMixedExperiment(spec)[slice].mean_delay();
 
     // (3) + joint best-fit scheduling (full METIS).
-    spec.metis.pick = MetisSystem::ConfigPick::kBestFit;
+    spec.base.metis.pick = MetisSystem::ConfigPick::kBestFit;
     double full = RunMixedExperiment(spec)[slice].mean_delay();
 
     Table table(StrFormat("Figure 12 (%s): delay decomposition", name));

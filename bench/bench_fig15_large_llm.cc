@@ -21,20 +21,20 @@ int main() {
 
     MixedRunSpec spec;
     spec.datasets = {"musique", "qmsum"};
-    spec.queries_per_dataset = kQueries;
-    spec.serving_model = "llama3.1-70b-awq";
-    spec.rate_per_dataset = 0.8;  // The 70B engine is ~6x slower per token.
-    spec.seed = kSeed;
+    spec.base.num_queries = kQueries;
+    spec.base.serving_model = "llama3.1-70b-awq";
+    spec.base.arrival_rate = 0.8;  // The 70B engine is ~6x slower per token.
+    spec.base.seed = kSeed;
     size_t slice = std::string(name) == "musique" ? 0 : 1;
 
-    spec.system = SystemKind::kMetis;
+    spec.base.system = SystemKind::kMetis;
     RunMetrics metis = RunMixedExperiment(spec)[slice];
-    spec.system = SystemKind::kAdaptiveRag;
+    spec.base.system = SystemKind::kAdaptiveRag;
     RunMetrics adaptive = RunMixedExperiment(spec)[slice];
-    spec.system = SystemKind::kVllmFixed;
+    spec.base.system = SystemKind::kVllmFixed;
     spec.fixed_configs = {best, best};
     RunMetrics vllm = RunMixedExperiment(spec)[slice];
-    spec.system = SystemKind::kParrotFixed;
+    spec.base.system = SystemKind::kParrotFixed;
     RunMetrics parrot = RunMixedExperiment(spec)[slice];
 
     Table table(StrFormat("Figure 15 (%s, llama3.1-70b): delay & F1", name));
@@ -59,9 +59,9 @@ int main() {
 
     // Same workload on the 7B model for the ~2% claim.
     MixedRunSpec small = spec;
-    small.system = SystemKind::kMetis;
-    small.serving_model = "mistral-7b-v3-awq";
-    small.kv_pool_gib = -1;
+    small.base.system = SystemKind::kMetis;
+    small.base.serving_model = "mistral-7b-v3-awq";
+    small.base.kv_pool_gib = -1;
     seven_f1 += RunMixedExperiment(small)[slice].mean_f1() / 2;
   }
   PrintShapeCheck("bigger inference model buys only ~2% F1 in RAG",

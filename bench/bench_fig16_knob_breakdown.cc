@@ -17,8 +17,8 @@ int main() {
   RagConfig best = BestQualityFixed(ScoreFixedConfigs(*ds, 40, "mistral-7b-v3-awq", kSeed));
 
   MixedRunSpec spec;  // QMSUM slice of the concurrent workload.
-  spec.queries_per_dataset = kQueries;
-  spec.seed = kSeed;
+  spec.base.num_queries = kQueries;
+  spec.base.seed = kSeed;
   const size_t kSlice = 3;  // qmsum.
 
   struct Stage {
@@ -41,20 +41,20 @@ int main() {
   for (const Stage& st : stages) {
     RunMetrics m;
     if (!st.chunks) {
-      spec.system = SystemKind::kVllmFixed;
+      spec.base.system = SystemKind::kVllmFixed;
       spec.fixed_configs = {best};
       m = RunMixedExperiment(spec)[kSlice];
       base_delay = m.mean_delay();
       base_f1 = m.mean_f1();
     } else {
-      spec.system = SystemKind::kMetis;
-      spec.metis.tune_chunks = st.chunks;
-      spec.metis.tune_method = st.method;
-      spec.metis.tune_intermediate = st.interm;
-      spec.metis.base_config = best;
-      spec.metis.pick = st.schedule ? MetisSystem::ConfigPick::kBestFit
+      spec.base.system = SystemKind::kMetis;
+      spec.base.metis.tune_chunks = st.chunks;
+      spec.base.metis.tune_method = st.method;
+      spec.base.metis.tune_intermediate = st.interm;
+      spec.base.metis.base_config = best;
+      spec.base.metis.pick = st.schedule ? MetisSystem::ConfigPick::kBestFit
                                     : MetisSystem::ConfigPick::kMedianOfSpace;
-      spec.override_prefix_sharing = st.schedule ? std::optional<bool>{} : false;
+      spec.base.override_prefix_sharing = st.schedule ? std::optional<bool>{} : false;
       m = RunMixedExperiment(spec)[kSlice];
     }
     table.AddRow({st.label, Table::Num(m.mean_f1(), 3), Table::Num(m.mean_delay(), 2)});

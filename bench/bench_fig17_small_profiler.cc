@@ -18,21 +18,21 @@ int main() {
     auto scores = ScoreFixedConfigs(*ds, 40, "mistral-7b-v3-awq", kSeed);
 
     MixedRunSpec spec;
-    spec.queries_per_dataset = kQueries;
-    spec.profiler_model = "llama3.1-70b-api";
-    spec.seed = kSeed;
+    spec.base.num_queries = kQueries;
+    spec.base.profiler_model = "llama3.1-70b-api";
+    spec.base.seed = kSeed;
     size_t slice = std::string(name) == "squad" ? 0 : 2;
 
-    spec.system = SystemKind::kMetis;
+    spec.base.system = SystemKind::kMetis;
     RunMetrics metis = RunMixedExperiment(spec)[slice];
-    spec.system = SystemKind::kAdaptiveRag;
+    spec.base.system = SystemKind::kAdaptiveRag;
     RunMetrics adaptive = RunMixedExperiment(spec)[slice];
 
     RagConfig similar = SimilarDelayFixed(scores, metis.mean_delay() / 3.0);
-    spec.system = SystemKind::kVllmFixed;
+    spec.base.system = SystemKind::kVllmFixed;
     spec.fixed_configs = {similar};
     RunMetrics vllm = RunMixedExperiment(spec)[slice];
-    spec.system = SystemKind::kParrotFixed;
+    spec.base.system = SystemKind::kParrotFixed;
     RunMetrics parrot = RunMixedExperiment(spec)[slice];
 
     Table table(StrFormat("Figure 17 (%s, llama-70b profiler)", name));

@@ -11,9 +11,9 @@ using namespace metis;
 
 int main() {
   MixedRunSpec spec;
-  spec.queries_per_dataset = 200;
-  spec.seed = 42;
-  spec.system = SystemKind::kMetis;
+  spec.base.num_queries = 200;
+  spec.base.seed = 42;
+  spec.base.system = SystemKind::kMetis;
   auto results = RunMixedExperiment(spec);
 
   Table table("Figure 18: profiler delay as a fraction of end-to-end delay");

@@ -54,37 +54,37 @@ const std::vector<std::string> kDatasets = {"squad_topical", "musique_topical",
 MixedRunSpec BaseSpec() {
   MixedRunSpec spec;
   spec.datasets = kDatasets;
-  spec.queries_per_dataset = 100;
-  spec.rate_per_dataset = 2.0;
-  spec.system = SystemKind::kMetis;
-  spec.seed = 42;
-  spec.retrieval.backend = RetrievalIndexOptions::Backend::kIvf;
-  spec.retrieval.nlist = 16;
-  spec.retrieval.nprobe = 4;
-  spec.retrieval.adaptive.min_probes = 1;
-  spec.retrieval.adaptive.distance_ratio = 1.2;
+  spec.base.num_queries = 100;
+  spec.base.arrival_rate = 2.0;
+  spec.base.system = SystemKind::kMetis;
+  spec.base.seed = 42;
+  spec.base.retrieval.backend = RetrievalIndexOptions::Backend::kIvf;
+  spec.base.retrieval.nlist = 16;
+  spec.base.retrieval.nprobe = 4;
+  spec.base.retrieval.adaptive.min_probes = 1;
+  spec.base.retrieval.adaptive.distance_ratio = 1.2;
   // The shared curve: one quality-safe line for the whole mix. The datasets'
   // budget-line directions CONFLICT (squad's curve ascends in pieces,
   // musique's and qmsum's descend, finsec's never plateaus), so the only
   // line that under-probes none of them is full depth — every query scans
   // every list, i.e. exact retrieval. The retrieval-knob version of the
   // paper's fixed-config over-provisioning story.
-  spec.scheduler.per_query_depth = true;
-  spec.scheduler.depth.base_probes = 16;
-  spec.scheduler.depth.probes_per_piece = 0;
-  spec.scheduler.depth.min_budget = 16;
-  spec.scheduler.depth.max_budget = 16;
+  spec.base.scheduler.per_query_depth = true;
+  spec.base.scheduler.depth.base_probes = 16;
+  spec.base.scheduler.depth.probes_per_piece = 0;
+  spec.base.scheduler.depth.min_budget = 16;
+  spec.base.scheduler.depth.max_budget = 16;
   // Fixed probe mode for every arm: measured mean_probes then IS the budget
   // line, so the figure isolates the per-dataset allocation effect from
   // PR 2's distance-ratio early termination (bench_fig_depth's subject,
   // which would trim all arms toward the same stopping point).
-  spec.scheduler.depth.adaptive = false;
+  spec.base.scheduler.depth.adaptive = false;
   spec.calibrator.adaptive = false;
   // Probe the full query set: the offline pass runs before any serving
   // traffic, and the figure wants each dataset's TRUE per-piece plateaus
   // (a thin slice mistakes a sample plateau for a real one and under-probes
   // the tail; mixed_runner_test covers the genuinely-held-out usage).
-  spec.calibrator.holdout_queries = static_cast<size_t>(spec.queries_per_dataset);
+  spec.calibrator.holdout_queries = static_cast<size_t>(spec.base.num_queries);
   return spec;
 }
 
@@ -200,19 +200,19 @@ int main() {
   PrintShapeCheck("per-dataset depth wins on the majority of the mix",
                   StrFormat("%d/%zu datasets", wins, kDatasets.size()), ok);
 
-  const MixedRunSpec base = BaseSpec();
+  const MixedRunSpec mixed = BaseSpec();
   BenchJsonRecord summary;
   summary.name = "summary";
   summary.tags = {{"arm", "summary"}};
   summary.metrics = {
-      {"queries_per_dataset", static_cast<double>(base.queries_per_dataset)},
-      {"rate_per_dataset_qps", base.rate_per_dataset},
-      {"num_datasets", static_cast<double>(base.datasets.size())},
-      {"nlist", static_cast<double>(base.retrieval.nlist)},
-      {"shared_depth_base", static_cast<double>(base.scheduler.depth.base_probes)},
-      {"shared_depth_slope", static_cast<double>(base.scheduler.depth.probes_per_piece)},
-      {"shared_depth_min", static_cast<double>(base.scheduler.depth.min_budget)},
-      {"shared_depth_max", static_cast<double>(base.scheduler.depth.max_budget)},
+      {"queries_per_dataset", static_cast<double>(mixed.base.num_queries)},
+      {"rate_per_dataset_qps", mixed.base.arrival_rate},
+      {"num_datasets", static_cast<double>(mixed.datasets.size())},
+      {"nlist", static_cast<double>(mixed.base.retrieval.nlist)},
+      {"shared_depth_base", static_cast<double>(mixed.base.scheduler.depth.base_probes)},
+      {"shared_depth_slope", static_cast<double>(mixed.base.scheduler.depth.probes_per_piece)},
+      {"shared_depth_min", static_cast<double>(mixed.base.scheduler.depth.min_budget)},
+      {"shared_depth_max", static_cast<double>(mixed.base.scheduler.depth.max_budget)},
       {"host_cpus", static_cast<double>(std::max(1u, std::thread::hardware_concurrency()))}};
   records.push_back(std::move(summary));
   WriteBenchJson("BENCH_mixed_depth.json", "mixed_depth", records,

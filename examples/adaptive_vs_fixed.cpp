@@ -14,10 +14,10 @@ using namespace metis;
 
 int main() {
   MixedRunSpec spec;
-  spec.queries_per_dataset = 80;
-  spec.rate_per_dataset = 2.0;       // Try 0.5 (idle) or 4.0 (overload).
-  spec.profiler_model = "gpt-4o";    // Try "llama3.1-70b-api".
-  spec.seed = 5;
+  spec.base.num_queries = 80;
+  spec.base.arrival_rate = 2.0;     // Try 0.5 (idle) or 4.0 (overload).
+  spec.base.profiler_model = "gpt-4o";  // Try "llama3.1-70b-api".
+  spec.base.seed = 5;
 
   struct Policy {
     const char* label;
@@ -38,7 +38,7 @@ int main() {
   table.SetHeader({"policy", "dataset", "mean F1", "mean delay (s)", "p90 (s)", "cost ($)"});
   for (const Policy& p : policies) {
     MixedRunSpec s = spec;
-    s.system = p.kind;
+    s.base.system = p.kind;
     if (!p.fixed.empty()) {
       s.fixed_configs = p.fixed;
     }

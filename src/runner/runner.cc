@@ -1,8 +1,10 @@
 #include "src/runner/runner.h"
 
 #include <deque>
+#include <functional>
 #include <map>
 #include <mutex>
+#include <set>
 #include <tuple>
 #include <unordered_set>
 
@@ -10,7 +12,6 @@
 #include "src/common/rng.h"
 #include "src/common/strings.h"
 #include "src/core/retrieval_batcher.h"
-#include "src/vectordb/mutable_index.h"
 
 namespace metis {
 
@@ -87,8 +88,8 @@ DatasetCache& TheDatasetCache() {
   return *cache;
 }
 
-// The one generation recipe behind both the cache and the private-instance
-// path in RunMixedExperiment: the duplicate-dataset fix there relies on a
+// The one generation recipe behind both the cache and the private instances
+// BuildStack gives mutable-index and repeated-name stacks: those rely on a
 // fresh instance being deterministically identical to the cached one, so the
 // recipe must live in exactly one place.
 std::shared_ptr<Dataset> GenerateDatasetUncached(
@@ -163,7 +164,20 @@ std::vector<RagConfig> FixedConfigMenu(const DatasetProfile& profile) {
 
 namespace {
 
-// Per-dataset policy stack sharing one engine + simulator.
+// Resolves stream d's scheduler options once its dataset exists.
+using SchedulerResolver = std::function<JointSchedulerOptions(size_t d, const Dataset& dataset)>;
+
+// One traffic stream on the shared engine: a fully resolved spec plus the
+// seeds of its arrival, tenant (and shared-workload) and ingest streams.
+struct Stream {
+  RunSpec spec;
+  uint64_t arrival_seed = 0;
+  uint64_t tenant_seed = 0;
+  uint64_t ingest_seed = 0;
+};
+
+// One stream's policy stack; every stack of a run shares one engine +
+// simulator.
 struct DatasetStack {
   std::shared_ptr<const Dataset> dataset;
   Dataset* live_dataset = nullptr;  // Non-null when this run may mutate it.
@@ -174,19 +188,6 @@ struct DatasetStack {
   std::unique_ptr<JointScheduler> scheduler;
   std::unique_ptr<ServingSystem> system;
   std::vector<QueryRecord> records;
-};
-
-struct Stack {
-  Simulator sim;
-  std::unique_ptr<LlmEngine> engine;
-  std::unique_ptr<BehaviorModel> behavior;
-  std::unique_ptr<RetrievalBatcher> batcher;
-  std::unique_ptr<SynthesisExecutor> executor;
-  std::unique_ptr<ApiLlmClient> profiler_api;
-  std::unique_ptr<QueryProfiler> profiler;
-  std::unique_ptr<JointScheduler> scheduler;
-  std::unique_ptr<OverloadController> overload;
-  std::unique_ptr<ServingSystem> system;
 };
 
 // Routes each query to an SLO class with probability proportional to
@@ -328,15 +329,13 @@ void ScheduleIngest(Simulator& sim, Dataset* dataset, const IngestOptions& opts,
   VectorDatabase* db = &dataset->mutable_db();
   METIS_CHECK(db->mutable_index() != nullptr);
   METIS_CHECK_GT(opts.rate, 0);
-  // Deletable pool: live chunks, minus gold-bearing ones unless delete_gold
-  // (so F1 stays comparable with a static run of the same queries).
+  // Deletable pool: live chunks minus gold-bearing ones (so F1 stays
+  // comparable with a static run of the same queries).
   auto victims = std::make_shared<std::vector<ChunkId>>();
   std::unordered_set<ChunkId> gold;
-  if (!opts.delete_gold) {
-    for (const RagQuery& q : dataset->queries()) {
-      for (int32_t fid : q.gold_fact_ids) {
-        gold.insert(dataset->fact(fid).chunk_id);
-      }
+  for (const RagQuery& q : dataset->queries()) {
+    for (int32_t fid : q.gold_fact_ids) {
+      gold.insert(dataset->fact(fid).chunk_id);
     }
   }
   for (ChunkId id = 0; id < static_cast<ChunkId>(db->num_chunks()); ++id) {
@@ -379,30 +378,243 @@ void ScheduleIngest(Simulator& sim, Dataset* dataset, const IngestOptions& opts,
   }
 }
 
-// End-of-run snapshot of the mutable index's counters into RunMetrics::ingest
-// (no-op for static-index runs, leaving the zeros).
-void FillIngestMetrics(RunMetrics& metrics, const VectorDatabase& db) {
-  const MutableIndex* mi = db.mutable_index();
-  if (mi == nullptr) {
-    return;
+bool Ingesting(const RunSpec& spec) { return spec.ingest.enabled && spec.ingest.num_ops > 0; }
+
+// Builds stream d's stack on the shared simulator and engine. Mutable-index
+// stacks own a private dataset instance: the ingest stream mutates it, and
+// cached corpora must stay immutable. A repeated dataset name gets a private
+// instance too: the cache would hand every occurrence the SAME Dataset (and
+// index), commingling per-stack probe accounting. Generation is
+// deterministic, so private instances are identical to the cached one.
+// `resolve_scheduler`, when set, replaces the stream's scheduler options once
+// its dataset exists (offline depth calibration probes the index).
+void BuildStack(DatasetStack& ds, Stream& stream, size_t d, bool repeated_name, Simulator& sim,
+                LlmEngine& engine, BehaviorModel& behavior, OverloadController* overload,
+                const SchedulerResolver& resolve_scheduler) {
+  RunSpec& spec = stream.spec;
+  if (Ingesting(spec)) {
+    METIS_CHECK(spec.retrieval.mutable_index);  // Live ingest needs the mutable index.
   }
-  MutableIndexStats s = mi->stats();
-  metrics.ingest.inserts = s.inserts;
-  metrics.ingest.deletes = s.deletes;
-  metrics.ingest.seals = s.seals;
-  metrics.ingest.compactions = s.compactions;
-  metrics.ingest.retrains = s.retrains;
-  metrics.ingest.live_chunks = s.live_rows;
-  metrics.ingest.segments = s.open_segments;
-  metrics.ingest.memtable_rows = s.memtable_rows;
-  metrics.ingest.tombstones = s.tombstones;
+  if (spec.retrieval.mutable_index || repeated_name) {
+    std::shared_ptr<Dataset> priv = GenerateDatasetUncached(
+        spec.dataset, spec.num_queries, spec.embedding_model, spec.seed, spec.retrieval);
+    ds.live_dataset = priv.get();
+    ds.dataset = priv;
+  } else {
+    ds.dataset = GetOrGenerateDataset(spec.dataset, spec.num_queries, spec.embedding_model,
+                                      spec.seed, spec.retrieval);
+  }
+  if (resolve_scheduler) {
+    spec.scheduler = resolve_scheduler(d, *ds.dataset);
+  }
+  RetrievalQuality retrieval_quality = RetrievalQualityFromOptions(spec.scheduler);
+  if (spec.scheduler.coalesce_retrieval) {
+    ds.batcher = std::make_unique<RetrievalBatcher>(&sim, &ds.dataset->db(),
+                                                    SynthesisExecutor::kRetrievalSeconds,
+                                                    retrieval_quality);
+  }
+  ds.executor = std::make_unique<SynthesisExecutor>(&sim, &engine, &behavior, ds.dataset.get(),
+                                                    spec.seed ^ 0x5E1Full, ds.batcher.get());
+  ds.executor->set_retrieval_quality(retrieval_quality);
+  // Corpus-salted group keys keep cross-dataset chunk ids from aliasing on
+  // the shared engine (SynthesisExecutor::ChunkPrefixGroup).
+  ds.executor->set_cross_query_prefix(spec.scheduler.cross_query_prefix);
+  auto sink = [records = &ds.records](QueryRecord rec) { records->push_back(std::move(rec)); };
+
+  if (spec.system == SystemKind::kAdaptiveRag || spec.system == SystemKind::kMetis) {
+    ds.profiler_api = std::make_unique<ApiLlmClient>(&sim, GetModelSpec(spec.profiler_model),
+                                                     spec.seed ^ (0xA91ull + d));
+    ProfilerParams pparams = spec.profiler_model == "gpt-4o" ? Gpt4oProfilerParams()
+                                                             : Llama70BProfilerParams();
+    ds.profiler = std::make_unique<QueryProfiler>(&sim, ds.profiler_api.get(),
+                                                  &ds.dataset->db().metadata(), pparams,
+                                                  spec.seed ^ (0x9867ull + d));
+    ds.scheduler = std::make_unique<JointScheduler>(&engine, ds.executor.get(), 10,
+                                                    spec.scheduler);
+  }
+  const RagConfig& fixed = spec.fixed_config;
+  switch (spec.system) {
+    case SystemKind::kVllmFixed:
+      ds.system = std::make_unique<FixedConfigSystem>(
+          &sim, ds.executor.get(), fixed,
+          StrFormat("vllm[%s]", RagConfigToString(fixed).c_str()), sink);
+      break;
+    case SystemKind::kParrotFixed:
+      ds.system = std::make_unique<FixedConfigSystem>(
+          &sim, ds.executor.get(), fixed,
+          StrFormat("parrot*[%s]", RagConfigToString(fixed).c_str()), sink);
+      break;
+    case SystemKind::kAdaptiveRag:
+      ds.system = std::make_unique<AdaptiveRagSystem>(&sim, ds.executor.get(),
+                                                      ds.profiler.get(), ds.scheduler.get(),
+                                                      sink);
+      break;
+    case SystemKind::kMetis: {
+      MetisSystem::Options opts = spec.metis;
+      opts.output_token_estimate = ds.dataset->profile().max_output_tokens;
+      ds.system = std::make_unique<MetisSystem>(&sim, ds.executor.get(), ds.profiler.get(),
+                                                ds.scheduler.get(), ds.dataset.get(), opts,
+                                                sink, overload);
+      break;
+    }
+  }
+}
+
+// One stream's end-of-run metrics: record aggregation, probe / hybrid /
+// mutable-index counters, and the stream's share of the engine cost
+// (processed-token share of the shared engine's busy time).
+RunMetrics HarvestStack(const RunSpec& spec, DatasetStack& ds, SimTime first_arrival,
+                        const LlmEngine& engine, const ModelSpec& model, double total_tokens) {
+  RunMetrics metrics;
+  metrics.label = SystemKindName(spec.system);
+  metrics.spec = spec;
+  metrics.records = std::move(ds.records);
+  AggregateRecords(metrics, spec.tenants, first_arrival);
+  metrics.engine_stats = engine.stats();
+  // Fetched after the run: under a mutable index a retrain swaps the base.
+  // Probe counters are carried across swaps (CopyProbeStatsFrom), so
+  // readings stay cumulative for the run.
+  const VectorDatabase& db = ds.dataset->db();
+  if (db.ivf_index() != nullptr) {
+    metrics.mean_probes = db.ivf_index()->mean_probes();
+    metrics.probe_histogram = db.ivf_index()->probe_histogram();
+  }
+  metrics.hybrid = db.hybrid_stats();
+  if (db.mutable_index() != nullptr) {
+    metrics.ingest = db.mutable_index()->stats();
+  }
+  double tokens = 0;
+  double api_cost = 0;
+  for (const QueryRecord& rec : metrics.records) {
+    tokens += rec.result.total_prompt_tokens + rec.result.total_output_tokens;
+    api_cost += rec.result.total_prompt_tokens * model.usd_per_1m_input_tokens / 1e6 +
+                rec.result.total_output_tokens * model.usd_per_1m_output_tokens / 1e6;
+  }
+  // API-served inference (the Fig. 13 GPT-4o comparison) is priced per token.
+  metrics.engine_cost_usd =
+      model.api_model ? api_cost
+                      : engine.busy_cost_usd() * (total_tokens > 0 ? tokens / total_tokens : 0);
+  if (ds.profiler_api) {
+    metrics.profiler_cost_usd = ds.profiler_api->total_cost_usd();
+  }
+  return metrics;
+}
+
+// The one serving path behind RunExperiment and RunMixedExperiment: ONE
+// simulator, engine, behaviour model and overload controller, configured from
+// `shared`, with one policy stack per stream. Returns one RunMetrics per
+// stream, in order. Closed loop (shared.arrival_rate <= 0) is single-stream.
+std::vector<RunMetrics> ServeStreams(const RunSpec& shared, std::vector<Stream> streams,
+                                     const SchedulerResolver& resolve_scheduler) {
+  Simulator sim;
+  const ModelSpec& model = GetModelSpec(shared.serving_model);
+  EngineConfig ecfg;
+  ecfg.model = model;
+  double pool_gib = shared.kv_pool_gib > 0 ? shared.kv_pool_gib : DefaultKvPoolGib(model);
+  ecfg.kv_pool_bytes = pool_gib * kGiB;
+  ecfg.max_batched_tokens = shared.max_batched_tokens;
+  bool batching = shared.system == SystemKind::kParrotFixed || shared.system == SystemKind::kMetis;
+  if (shared.override_prefix_sharing.has_value()) {
+    batching = *shared.override_prefix_sharing;
+  }
+  ecfg.prefix_sharing = batching;
+  ecfg.policy = batching ? AdmissionPolicy::kGroupAware : AdmissionPolicy::kFcfs;
+  if (shared.scheduler.cross_query_prefix) {
+    // Cross-query reuse needs the engine to hold hot chunk prefixes across
+    // the gap between queries; gated so the default engine stays
+    // bit-identical. Retention is engine-wide, so it follows the shared
+    // scheduler (per-stack overrides only steer grouping).
+    ecfg.prefix_retention_s = shared.scheduler.prefix_retention_s;
+  }
+  LlmEngine engine(&sim, ecfg, shared.seed);
+  BehaviorModel behavior(BehaviorParams{}, shared.seed ^ 0xBE4A11ull);
+  // One controller for the shared engine: every METIS stack feeds it, so the
+  // ladder reacts to the aggregate backlog across all streams.
+  std::unique_ptr<OverloadController> overload;
+  if (shared.overload.enabled && shared.system == SystemKind::kMetis) {
+    overload = std::make_unique<OverloadController>(&engine, shared.tenants, shared.overload);
+  }
+
+  std::vector<DatasetStack> stacks(streams.size());
+  std::set<std::string> names;
+  for (size_t d = 0; d < streams.size(); ++d) {
+    bool repeated_name =
+        !streams[d].spec.retrieval.mutable_index && !names.insert(streams[d].spec.dataset).second;
+    BuildStack(stacks[d], streams[d], d, repeated_name, sim, engine, behavior, overload.get(),
+               resolve_scheduler);
+  }
+  // Every stack owns a distinct Dataset instance, so this zeroes each index's
+  // probe and hybrid counters exactly once, after calibration probed them and
+  // before any serving traffic: each stack's counters report its own traffic.
+  for (DatasetStack& ds : stacks) {
+    if (ds.dataset->db().ivf_index() != nullptr) {
+      ds.dataset->db().ivf_index()->ResetProbeStats();
+    }
+    ds.dataset->db().ResetHybridStats();
+  }
+
+  // Each stream's ingest is scheduled before its queries, on the same clock.
+  // Throughput windows are per stream: each starts at the stream's OWN first
+  // arrival (0 for closed loop and for ingest-only streams).
+  const bool open_loop = shared.arrival_rate > 0;
+  std::vector<SimTime> first_arrival(streams.size(), 0);
+  std::vector<RagQuery> closed_loop_queries;
+  for (size_t d = 0; d < streams.size(); ++d) {
+    const Stream& s = streams[d];
+    if (Ingesting(s.spec)) {
+      ScheduleIngest(sim, stacks[d].live_dataset, s.spec.ingest, s.ingest_seed);
+    }
+    // Per-run copy of the queries so arrival times don't leak across runs.
+    std::vector<RagQuery> queries = stacks[d].dataset->queries();
+    AssignTenants(queries, s.spec.tenants, s.tenant_seed);
+    ApplySharedWorkload(queries, s.spec.shared_workload, s.tenant_seed);
+    if (!open_loop) {
+      METIS_CHECK_EQ(streams.size(), 1u);
+      AssignSequentialArrivals(queries);
+      closed_loop_queries = std::move(queries);
+      continue;
+    }
+    AssignArrivals(queries, s.spec.arrivals, s.spec.arrival_rate, s.arrival_seed);
+    if (!queries.empty()) {
+      first_arrival[d] = queries.front().arrival_time;
+    }
+    for (const RagQuery& q : queries) {
+      sim.ScheduleAt(q.arrival_time, [sys = stacks[d].system.get(), q]() { sys->Accept(q); });
+    }
+  }
+  // Closed loop (Fig. 19's low load): one query outstanding at a time. Each
+  // query steps the simulation only until its record lands, so events
+  // scheduled for later (the ingest stream) fire between queries at their own
+  // times.
+  for (const RagQuery& q : closed_loop_queries) {
+    std::vector<QueryRecord>& records = stacks[0].records;
+    size_t expected = records.size() + 1;
+    stacks[0].system->Accept(q);
+    while (records.size() < expected) {
+      METIS_CHECK(sim.Step());
+    }
+  }
+  sim.Run();
+
+  double total_tokens = 0;
+  for (const DatasetStack& ds : stacks) {
+    for (const QueryRecord& rec : ds.records) {
+      total_tokens += rec.result.total_prompt_tokens + rec.result.total_output_tokens;
+    }
+  }
+  std::vector<RunMetrics> out;
+  for (size_t d = 0; d < streams.size(); ++d) {
+    out.push_back(
+        HarvestStack(streams[d].spec, stacks[d], first_arrival[d], engine, model, total_tokens));
+  }
+  return out;
 }
 
 }  // namespace
 
 JointSchedulerOptions EffectiveSchedulerOptions(const MixedRunSpec& spec, size_t d,
                                                 const Dataset& dataset) {
-  JointSchedulerOptions options = spec.scheduler;
+  JointSchedulerOptions options = spec.base.scheduler;
   if (!spec.per_dataset_depth) {
     return options;  // Ablation off: the shared curve, bit-for-bit.
   }
@@ -429,423 +641,41 @@ JointSchedulerOptions EffectiveSchedulerOptions(const MixedRunSpec& spec, size_t
 
 std::vector<RunMetrics> RunMixedExperiment(const MixedRunSpec& spec) {
   METIS_CHECK(!spec.datasets.empty());
-  METIS_CHECK(!spec.fixed_configs.empty());
-  const bool ingesting = spec.ingest.enabled && spec.ingest.num_ops > 0;
-  if (ingesting) {
-    METIS_CHECK(spec.retrieval.mutable_index);  // Live ingest needs the mutable index.
-  }
-
-  Simulator sim;
-  const ModelSpec& model = GetModelSpec(spec.serving_model);
-  EngineConfig ecfg;
-  ecfg.model = model;
-  double pool_gib = spec.kv_pool_gib > 0 ? spec.kv_pool_gib : DefaultKvPoolGib(model);
-  ecfg.kv_pool_bytes = pool_gib * kGiB;
-  ecfg.max_batched_tokens = spec.max_batched_tokens;
-  bool batching = spec.system == SystemKind::kParrotFixed || spec.system == SystemKind::kMetis;
-  if (spec.override_prefix_sharing.has_value()) {
-    batching = *spec.override_prefix_sharing;
-  }
-  ecfg.prefix_sharing = batching;
-  ecfg.policy = batching ? AdmissionPolicy::kGroupAware : AdmissionPolicy::kFcfs;
-  if (spec.scheduler.cross_query_prefix) {
-    // Retention is an engine-wide property, so the SHARED engine takes the
-    // top-level scheduler's window (per-stack overrides only steer grouping).
-    ecfg.prefix_retention_s = spec.scheduler.prefix_retention_s;
-  }
-  LlmEngine engine(&sim, ecfg, spec.seed);
-  BehaviorModel behavior(BehaviorParams{}, spec.seed ^ 0xBE4A11ull);
-
-  // One controller for the shared engine: every METIS stack feeds it, so the
-  // ladder reacts to the aggregate backlog across the whole mix.
-  std::unique_ptr<OverloadController> overload;
-  if (spec.overload.enabled && spec.system == SystemKind::kMetis) {
-    overload = std::make_unique<OverloadController>(&engine, spec.tenants, spec.overload);
-  }
-
-  std::vector<DatasetStack> stacks(spec.datasets.size());
-  std::vector<JointSchedulerOptions> stack_options(spec.datasets.size());
-  std::map<std::string, size_t> name_count;
+  METIS_CHECK_GT(spec.base.arrival_rate, 0);  // Closed loop is single-stream.
+  const uint64_t seed = spec.base.seed;
+  std::vector<Stream> streams;
   for (size_t d = 0; d < spec.datasets.size(); ++d) {
-    DatasetStack& ds = stacks[d];
-    if (spec.retrieval.mutable_index) {
-      // Mutable-index stacks always own a private instance: the ingest stream
-      // mutates each stack's database independently, and cached corpora must
-      // stay immutable (same reasoning as RunExperiment).
-      std::shared_ptr<Dataset> priv =
-          GenerateDatasetUncached(spec.datasets[d], spec.queries_per_dataset,
-                                  spec.embedding_model, spec.seed, spec.retrieval);
-      ds.live_dataset = priv.get();
-      ds.dataset = priv;
-    } else if (name_count[spec.datasets[d]]++ == 0) {
-      ds.dataset = GetOrGenerateDataset(spec.datasets[d], spec.queries_per_dataset,
-                                        spec.embedding_model, spec.seed, spec.retrieval);
-    } else {
-      // Repeated dataset name: the cache would hand every occurrence the SAME
-      // Dataset (and index), commingling per-stack probe accounting. Give
-      // repeats a private instance — generation is deterministic, so contents
-      // (and therefore results) are identical to the cached one.
-      ds.dataset = GenerateDatasetUncached(spec.datasets[d], spec.queries_per_dataset,
-                                           spec.embedding_model, spec.seed, spec.retrieval);
+    Stream s{spec.base};
+    s.spec.dataset = spec.datasets[d];
+    if (!spec.fixed_configs.empty()) {
+      s.spec.fixed_config = spec.fixed_configs[std::min(d, spec.fixed_configs.size() - 1)];
     }
-    // May probe the stack's index (offline calibration); probe stats are
-    // reset below, after every stack is built.
-    stack_options[d] = EffectiveSchedulerOptions(spec, d, *ds.dataset);
-    const JointSchedulerOptions& scheduler_options = stack_options[d];
-    RetrievalQuality retrieval_quality = RetrievalQualityFromOptions(scheduler_options);
-    if (scheduler_options.coalesce_retrieval) {
-      ds.batcher = std::make_unique<RetrievalBatcher>(&sim, &ds.dataset->db(),
-                                                      SynthesisExecutor::kRetrievalSeconds,
-                                                      retrieval_quality);
-    }
-    ds.executor = std::make_unique<SynthesisExecutor>(&sim, &engine, &behavior,
-                                                      ds.dataset.get(),
-                                                      spec.seed ^ 0x5E1Full, ds.batcher.get());
-    ds.executor->set_retrieval_quality(retrieval_quality);
-    // Corpus-salted group keys keep cross-dataset chunk ids from aliasing on
-    // the shared engine (SynthesisExecutor::ChunkPrefixGroup).
-    ds.executor->set_cross_query_prefix(scheduler_options.cross_query_prefix);
-    auto sink = [records = &ds.records](QueryRecord rec) { records->push_back(std::move(rec)); };
-
-    RagConfig fixed = spec.fixed_configs[std::min(d, spec.fixed_configs.size() - 1)];
-    const bool needs_profiler =
-        spec.system == SystemKind::kAdaptiveRag || spec.system == SystemKind::kMetis;
-    if (needs_profiler) {
-      ds.profiler_api = std::make_unique<ApiLlmClient>(&sim, GetModelSpec(spec.profiler_model),
-                                                       spec.seed ^ (0xA91ull + d));
-      ProfilerParams pparams = spec.profiler_model == "gpt-4o" ? Gpt4oProfilerParams()
-                                                               : Llama70BProfilerParams();
-      ds.profiler = std::make_unique<QueryProfiler>(&sim, ds.profiler_api.get(),
-                                                    &ds.dataset->db().metadata(), pparams,
-                                                    spec.seed ^ (0x9867ull + d));
-      ds.scheduler = std::make_unique<JointScheduler>(&engine, ds.executor.get(), 10,
-                                                      scheduler_options);
-    }
-    switch (spec.system) {
-      case SystemKind::kVllmFixed:
-        ds.system = std::make_unique<FixedConfigSystem>(
-            &sim, ds.executor.get(), fixed,
-            StrFormat("vllm[%s]", RagConfigToString(fixed).c_str()), sink);
-        break;
-      case SystemKind::kParrotFixed:
-        ds.system = std::make_unique<FixedConfigSystem>(
-            &sim, ds.executor.get(), fixed,
-            StrFormat("parrot*[%s]", RagConfigToString(fixed).c_str()), sink);
-        break;
-      case SystemKind::kAdaptiveRag:
-        ds.system = std::make_unique<AdaptiveRagSystem>(&sim, ds.executor.get(),
-                                                        ds.profiler.get(), ds.scheduler.get(),
-                                                        sink);
-        break;
-      case SystemKind::kMetis: {
-        MetisSystem::Options opts = spec.metis;
-        opts.output_token_estimate = ds.dataset->profile().max_output_tokens;
-        ds.system = std::make_unique<MetisSystem>(&sim, ds.executor.get(), ds.profiler.get(),
-                                                  ds.scheduler.get(), ds.dataset.get(), opts,
-                                                  sink, overload.get());
-        break;
-      }
-    }
-  }
-
-  // Every stack owns a distinct Dataset instance (repeats get private
-  // copies), so this zeroes each index's probe counters exactly once, after
-  // offline calibration probed them and before any serving traffic —
-  // per-stack mean_probes/probe_histogram then report that stack's traffic
-  // only.
-  for (DatasetStack& ds : stacks) {
-    if (ds.dataset->db().ivf_index() != nullptr) {
-      ds.dataset->db().ivf_index()->ResetProbeStats();
-    }
-    // Same contract for the hybrid counters (the weight calibration above
-    // retrieves through the database).
-    ds.dataset->db().ResetHybridStats();
-  }
-
-  // Independent arrival streams per dataset, all on the shared engine.
-  // Throughput windows are per dataset: each stack's clock starts at its OWN
-  // first arrival, not the earliest arrival across the whole mix.
-  std::vector<SimTime> first_arrival(spec.datasets.size(), -1);
-  for (size_t d = 0; d < spec.datasets.size(); ++d) {
-    std::vector<RagQuery> queries = stacks[d].dataset->queries();
     // Per-dataset seeds are mixed through SplitMix64: the raw
     // `seed ^ (0xD00D + d)` values differ only in their low bits for adjacent
     // d, and AssignArrivals XORs its own constant on top — nearby datasets
     // would get visibly correlated streams. SplitMix64 decorrelates them.
-    uint64_t arrival_state = spec.seed ^ (0xD00Dull + static_cast<uint64_t>(d));
-    AssignArrivals(queries, spec.arrivals, spec.rate_per_dataset, SplitMix64(arrival_state));
-    uint64_t tenant_state = spec.seed ^ (0x7E7A47ull + static_cast<uint64_t>(d));
-    AssignTenants(queries, spec.tenants, SplitMix64(tenant_state));
-    if (ingesting) {
-      // Per-stack decorrelated op stream, same SplitMix64 mixing as arrivals.
-      uint64_t ingest_state = spec.seed ^ (0x1A6E57ull + static_cast<uint64_t>(d));
-      ScheduleIngest(sim, stacks[d].live_dataset, spec.ingest, SplitMix64(ingest_state));
-    }
-    for (const RagQuery& q : queries) {
-      if (first_arrival[d] < 0 || q.arrival_time < first_arrival[d]) {
-        first_arrival[d] = q.arrival_time;
-      }
-      sim.ScheduleAt(q.arrival_time, [sys = stacks[d].system.get(), q]() { sys->Accept(q); });
-    }
+    uint64_t arrival_state = seed ^ (0xD00Dull + d);
+    uint64_t tenant_state = seed ^ (0x7E7A47ull + d);
+    uint64_t ingest_state = seed ^ (0x1A6E57ull + d);
+    s.arrival_seed = SplitMix64(arrival_state);
+    s.tenant_seed = SplitMix64(tenant_state);
+    s.ingest_seed = SplitMix64(ingest_state);
+    streams.push_back(std::move(s));
   }
-  sim.Run();
-
-  // --- Aggregate per dataset; engine cost attributed by token share. ---
-  double total_tokens = 0;
-  for (const auto& ds : stacks) {
-    for (const auto& rec : ds.records) {
-      total_tokens += rec.result.total_prompt_tokens + rec.result.total_output_tokens;
-    }
-  }
-  std::vector<RunMetrics> out;
-  for (size_t d = 0; d < spec.datasets.size(); ++d) {
-    DatasetStack& ds = stacks[d];
-    RunMetrics metrics;
-    metrics.label = StrFormat("%s/%s", SystemKindName(spec.system), spec.datasets[d].c_str());
-    // The single-dataset RunSpec this stack is equivalent to, so downstream
-    // tooling sees the same RunMetrics contract RunExperiment fills
-    // (metrics.spec.scheduler carries the stack's RESOLVED options, i.e. the
-    // calibrated per-dataset depth line when per_dataset_depth engaged one).
-    metrics.spec.dataset = spec.datasets[d];
-    metrics.spec.num_queries = spec.queries_per_dataset;
-    metrics.spec.arrival_rate = spec.rate_per_dataset;
-    metrics.spec.serving_model = spec.serving_model;
-    metrics.spec.kv_pool_gib = spec.kv_pool_gib;
-    metrics.spec.max_batched_tokens = spec.max_batched_tokens;
-    metrics.spec.embedding_model = spec.embedding_model;
-    metrics.spec.profiler_model = spec.profiler_model;
-    metrics.spec.system = spec.system;
-    metrics.spec.fixed_config = spec.fixed_configs[std::min(d, spec.fixed_configs.size() - 1)];
-    metrics.spec.metis = spec.metis;
-    metrics.spec.scheduler = stack_options[d];
-    metrics.spec.retrieval = spec.retrieval;
-    metrics.spec.override_prefix_sharing = spec.override_prefix_sharing;
-    metrics.spec.tenants = spec.tenants;
-    metrics.spec.arrivals = spec.arrivals;
-    metrics.spec.overload = spec.overload;
-    metrics.spec.ingest = spec.ingest;
-    metrics.spec.seed = spec.seed;
-    metrics.records = std::move(ds.records);
-    // A zero-query stack (ingest-only) never sets its first arrival; clamp
-    // the sentinel so the window starts at 0.
-    AggregateRecords(metrics, spec.tenants, std::max<SimTime>(0, first_arrival[d]));
-    double ds_tokens = 0;
-    for (const QueryRecord& rec : metrics.records) {
-      ds_tokens += rec.result.total_prompt_tokens + rec.result.total_output_tokens;
-    }
-    metrics.engine_stats = engine.stats();
-    if (ds.dataset->db().ivf_index() != nullptr) {
-      metrics.mean_probes = ds.dataset->db().ivf_index()->mean_probes();
-      metrics.probe_histogram = ds.dataset->db().ivf_index()->probe_histogram();
-    }
-    metrics.hybrid = ds.dataset->db().hybrid_stats();
-    FillIngestMetrics(metrics, ds.dataset->db());
-    if (model.api_model) {
-      double cost = 0;
-      for (const QueryRecord& rec : metrics.records) {
-        cost += rec.result.total_prompt_tokens * model.usd_per_1m_input_tokens / 1e6 +
-                rec.result.total_output_tokens * model.usd_per_1m_output_tokens / 1e6;
-      }
-      metrics.engine_cost_usd = cost;
-    } else {
-      metrics.engine_cost_usd =
-          engine.busy_cost_usd() * (total_tokens > 0 ? ds_tokens / total_tokens : 0);
-    }
-    if (ds.profiler_api) {
-      metrics.profiler_cost_usd = ds.profiler_api->total_cost_usd();
-    }
-    out.push_back(std::move(metrics));
+  std::vector<RunMetrics> out =
+      ServeStreams(spec.base, std::move(streams), [&spec](size_t d, const Dataset& dataset) {
+        return EffectiveSchedulerOptions(spec, d, dataset);
+      });
+  for (RunMetrics& m : out) {
+    m.label = StrFormat("%s/%s", SystemKindName(m.spec.system), m.spec.dataset.c_str());
   }
   return out;
 }
 
 RunMetrics RunExperiment(const RunSpec& spec) {
-  const bool ingesting = spec.ingest.enabled && spec.ingest.num_ops > 0;
-  if (ingesting) {
-    METIS_CHECK(spec.retrieval.mutable_index);  // Live ingest needs the mutable index.
-  }
-  std::shared_ptr<const Dataset> dataset;
-  Dataset* live_dataset = nullptr;  // Non-null when this run may mutate it.
-  if (spec.retrieval.mutable_index) {
-    // Mutable-index runs bypass the shared cache: the ingest stream mutates
-    // the database, and a cached corpus must stay immutable for every other
-    // spec resolving to the same entry. Generation is deterministic, so the
-    // private instance is identical to what the cache would have held.
-    std::shared_ptr<Dataset> priv = GenerateDatasetUncached(
-        spec.dataset, spec.num_queries, spec.embedding_model, spec.seed, spec.retrieval);
-    live_dataset = priv.get();
-    dataset = priv;
-  } else {
-    dataset = GetOrGenerateDataset(spec.dataset, spec.num_queries, spec.embedding_model,
-                                   spec.seed, spec.retrieval);
-  }
-  // Probe accounting is per-run: the dataset (and its index) is shared
-  // through the cache, so zero the counters before this run's traffic.
-  const IvfL2Index* ivf = dataset->db().ivf_index();
-  if (ivf != nullptr) {
-    ivf->ResetProbeStats();
-  }
-  dataset->db().ResetHybridStats();
-
-  Stack stack;
-  const ModelSpec& model = GetModelSpec(spec.serving_model);
-
-  EngineConfig ecfg;
-  ecfg.model = model;
-  double pool_gib = spec.kv_pool_gib > 0 ? spec.kv_pool_gib : DefaultKvPoolGib(model);
-  ecfg.kv_pool_bytes = pool_gib * kGiB;
-  ecfg.max_batched_tokens = spec.max_batched_tokens;
-  bool batching = spec.system == SystemKind::kParrotFixed || spec.system == SystemKind::kMetis;
-  if (spec.override_prefix_sharing.has_value()) {
-    batching = *spec.override_prefix_sharing;
-  }
-  ecfg.prefix_sharing = batching;
-  ecfg.policy = batching ? AdmissionPolicy::kGroupAware : AdmissionPolicy::kFcfs;
-  if (spec.scheduler.cross_query_prefix) {
-    // Cross-query reuse needs the engine to hold hot chunk prefixes across
-    // the gap between queries; gated so the default engine stays bit-identical.
-    ecfg.prefix_retention_s = spec.scheduler.prefix_retention_s;
-  }
-  stack.engine = std::make_unique<LlmEngine>(&stack.sim, ecfg, spec.seed);
-
-  stack.behavior = std::make_unique<BehaviorModel>(BehaviorParams{}, spec.seed ^ 0xBE4A11ull);
-  RetrievalQuality retrieval_quality = RetrievalQualityFromOptions(spec.scheduler);
-  if (spec.scheduler.coalesce_retrieval) {
-    stack.batcher = std::make_unique<RetrievalBatcher>(&stack.sim, &dataset->db(),
-                                                       SynthesisExecutor::kRetrievalSeconds,
-                                                       retrieval_quality);
-  }
-  stack.executor = std::make_unique<SynthesisExecutor>(&stack.sim, stack.engine.get(),
-                                                       stack.behavior.get(), dataset.get(),
-                                                       spec.seed ^ 0x5E1Full, stack.batcher.get());
-  stack.executor->set_retrieval_quality(retrieval_quality);
-  stack.executor->set_cross_query_prefix(spec.scheduler.cross_query_prefix);
-
-  RunMetrics metrics;
-  metrics.spec = spec;
-  metrics.label = SystemKindName(spec.system);
-
-  std::vector<QueryRecord>* records = &metrics.records;
-  auto sink = [records](QueryRecord rec) { records->push_back(std::move(rec)); };
-
-  const bool needs_profiler =
-      spec.system == SystemKind::kAdaptiveRag || spec.system == SystemKind::kMetis;
-  if (needs_profiler) {
-    stack.profiler_api = std::make_unique<ApiLlmClient>(
-        &stack.sim, GetModelSpec(spec.profiler_model), spec.seed ^ 0xA91ull);
-  }
-  ProfilerParams pparams = spec.profiler_model == "gpt-4o" ? Gpt4oProfilerParams()
-                                                           : Llama70BProfilerParams();
-  if (needs_profiler) {
-    stack.profiler = std::make_unique<QueryProfiler>(&stack.sim, stack.profiler_api.get(),
-                                                     &dataset->db().metadata(), pparams,
-                                                     spec.seed ^ 0x9867ull);
-    stack.scheduler = std::make_unique<JointScheduler>(stack.engine.get(),
-                                                       stack.executor.get(), 10,
-                                                       spec.scheduler);
-  }
-
-  switch (spec.system) {
-    case SystemKind::kVllmFixed:
-      stack.system = std::make_unique<FixedConfigSystem>(
-          &stack.sim, stack.executor.get(), spec.fixed_config,
-          StrFormat("vllm[%s]", RagConfigToString(spec.fixed_config).c_str()), sink);
-      break;
-    case SystemKind::kParrotFixed:
-      stack.system = std::make_unique<FixedConfigSystem>(
-          &stack.sim, stack.executor.get(), spec.fixed_config,
-          StrFormat("parrot*[%s]", RagConfigToString(spec.fixed_config).c_str()), sink);
-      break;
-    case SystemKind::kAdaptiveRag:
-      stack.system = std::make_unique<AdaptiveRagSystem>(&stack.sim, stack.executor.get(),
-                                                         stack.profiler.get(),
-                                                         stack.scheduler.get(), sink);
-      break;
-    case SystemKind::kMetis: {
-      MetisSystem::Options opts = spec.metis;
-      opts.output_token_estimate = dataset->profile().max_output_tokens;
-      if (spec.overload.enabled) {
-        stack.overload = std::make_unique<OverloadController>(stack.engine.get(),
-                                                              spec.tenants, spec.overload);
-      }
-      stack.system = std::make_unique<MetisSystem>(&stack.sim, stack.executor.get(),
-                                                   stack.profiler.get(), stack.scheduler.get(),
-                                                   dataset.get(), opts, sink,
-                                                   stack.overload.get());
-      break;
-    }
-  }
-
-  // The ingest stream shares the simulation clock with the query stream.
-  if (ingesting) {
-    ScheduleIngest(stack.sim, live_dataset, spec.ingest, spec.seed);
-  }
-
-  // Per-run copy of the queries so arrival times don't leak across runs.
-  std::vector<RagQuery> queries = dataset->queries();
-  AssignTenants(queries, spec.tenants, spec.seed);
-  ApplySharedWorkload(queries, spec.shared_workload, spec.seed);
-  SimTime first_arrival = 0;
-
-  if (spec.arrival_rate > 0) {
-    AssignArrivals(queries, spec.arrivals, spec.arrival_rate, spec.seed);
-    // Ingest-only specs (num_queries == 0) have no arrivals; the window then
-    // starts at 0 and every completion-derived metric stays defined (zero).
-    first_arrival = queries.empty() ? 0 : queries.front().arrival_time;
-    for (const RagQuery& q : queries) {
-      stack.sim.ScheduleAt(q.arrival_time, [sys = stack.system.get(), q]() { sys->Accept(q); });
-    }
-    stack.sim.Run();
-  } else {
-    // Closed loop: one query outstanding at a time (Fig. 19's low load).
-    AssignSequentialArrivals(queries);
-    size_t next = 0;
-    size_t total = queries.size();
-    // Chain Accept calls off completions by polling the record count.
-    std::function<void()> pump = [&]() {
-      if (next >= total) {
-        return;
-      }
-      size_t expected = metrics.records.size() + 1;
-      stack.system->Accept(queries[next++]);
-      stack.sim.Run();  // Drain until this query (and its events) complete.
-      METIS_CHECK_GE(metrics.records.size(), expected);
-    };
-    while (next < total) {
-      pump();
-    }
-  }
-  stack.sim.Run();
-
-  // --- Aggregate ---
-  AggregateRecords(metrics, spec.tenants, first_arrival);
-  metrics.engine_stats = stack.engine->stats();
-  // Re-fetch the IVF handle: under a mutable index a retrain swaps the base,
-  // so the pre-run pointer may be stale. Probe counters are carried across
-  // swaps (CopyProbeStatsFrom), so readings stay cumulative for the run.
-  const IvfL2Index* ivf_now = dataset->db().ivf_index();
-  if (ivf_now != nullptr) {
-    metrics.mean_probes = ivf_now->mean_probes();
-    metrics.probe_histogram = ivf_now->probe_histogram();
-  }
-  metrics.hybrid = dataset->db().hybrid_stats();
-  FillIngestMetrics(metrics, dataset->db());
-
-  if (model.api_model) {
-    // API-served inference (the Fig. 13 GPT-4o comparison): per-token price.
-    double cost = 0;
-    for (const QueryRecord& rec : metrics.records) {
-      cost += rec.result.total_prompt_tokens * model.usd_per_1m_input_tokens / 1e6 +
-              rec.result.total_output_tokens * model.usd_per_1m_output_tokens / 1e6;
-    }
-    metrics.engine_cost_usd = cost;
-  } else {
-    metrics.engine_cost_usd = stack.engine->busy_cost_usd();
-  }
-  if (stack.profiler_api) {
-    metrics.profiler_cost_usd = stack.profiler_api->total_cost_usd();
-  }
-  return metrics;
+  // A single run is one stream whose traffic seeds are all spec.seed.
+  std::vector<Stream> streams = {Stream{spec, spec.seed, spec.seed, spec.seed}};
+  return std::move(ServeStreams(spec, std::move(streams), nullptr).front());
 }
 
 RagResult RunSingleQuery(const Dataset& dataset, const RagQuery& query, const RagConfig& config,

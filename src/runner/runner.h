@@ -17,6 +17,7 @@
 #include "src/llm/engine.h"
 #include "src/profiler/profiler.h"
 #include "src/synthesis/synthesis.h"
+#include "src/vectordb/mutable_index.h"
 #include "src/workload/dataset.h"
 
 namespace metis {
@@ -34,32 +35,14 @@ const char* SystemKindName(SystemKind kind);
 // The runner schedules `num_ops` insert/delete operations into the same
 // simulation clock the query stream runs on, through the same arrival-process
 // machinery — deterministic per seed. Inserts add synthetic filler chunks to
-// the live database; deletes tombstone a uniformly random live victim.
+// the live database; deletes tombstone a uniformly random live non-gold chunk,
+// so query F1 stays comparable with a static-index run of the same spec.
 struct IngestOptions {
   bool enabled = false;
   int num_ops = 0;
   double rate = 4.0;             // Ops/sec (mean of `arrivals`).
   double insert_fraction = 0.8;  // P(insert) per op; the rest delete.
-  // False (default): deletes only ever pick non-gold chunks, so query F1
-  // stays comparable with a static-index run of the same spec. True widens
-  // the victim pool to the whole live corpus (recall-under-churn stress).
-  bool delete_gold = false;
   ArrivalProcess arrivals;  // Op arrival shape (kPoisson default).
-};
-
-// Ingest-stream + index-lifecycle accounting for one run (zeros unless the
-// spec ran a mutable index). Counter fields mirror MutableIndexStats; the
-// gauges are end-of-run snapshots.
-struct IngestMetrics {
-  uint64_t inserts = 0;
-  uint64_t deletes = 0;
-  uint64_t seals = 0;
-  uint64_t compactions = 0;
-  uint64_t retrains = 0;
-  size_t live_chunks = 0;
-  size_t segments = 0;
-  size_t memtable_rows = 0;
-  size_t tombstones = 0;
 };
 
 // Shared-query workload shaping (cross-query KV reuse experiments). With
@@ -189,9 +172,10 @@ struct RunMetrics {
   // lexical backend scans and fused queries this run issued. All zeros for a
   // dense-only stack (the hybrid path was never taken).
   HybridSearchStats hybrid;
-  // Mutable-index runs only: what the ingest stream did and where the index's
-  // segment lifecycle ended up (all zeros for static-index runs).
-  IngestMetrics ingest;
+  // Mutable-index runs only: the index's end-of-run counters and lifecycle
+  // gauges — what the ingest stream did and where the segment lifecycle ended
+  // up (all zeros for static-index runs).
+  MutableIndexStats ingest;
   double engine_cost_usd = 0;
   double profiler_cost_usd = 0;
   double total_cost_usd() const { return engine_cost_usd + profiler_cost_usd; }
@@ -204,35 +188,33 @@ struct RunMetrics {
 RunMetrics RunExperiment(const RunSpec& spec);
 
 // Mixed-workload experiment: the paper's §7.1 setup sends all datasets
-// *concurrently* to one serving engine (Poisson, `rate_per_dataset` each) and
-// reports results per dataset. The shared engine is where cross-dataset
-// contention — and METIS's resource-aware adaptation — plays out.
+// *concurrently* to one serving engine and reports results per dataset. The
+// shared engine is where cross-dataset contention — and METIS's
+// resource-aware adaptation — plays out.
+//
+// `base` holds every setting a single run has. Each entry of `datasets`
+// replaces base.dataset for its own stack; base.num_queries and
+// base.arrival_rate apply per dataset (open loop only). The engine (and its
+// prefix-retention window, taken from base.scheduler), the behaviour model and
+// the overload controller are shared: one controller watches the shared
+// engine, so the ladder reacts to the aggregate backlog. Arrivals, tenants,
+// shared-workload shaping and the ingest stream run per stack on decorrelated
+// seeds. Each stack's RunMetrics::spec is base with dataset, scheduler and
+// fixed_config resolved for that stack.
 struct MixedRunSpec {
+  RunSpec base;
   std::vector<std::string> datasets = {"squad", "musique", "kg_rag_finsec", "qmsum"};
-  int queries_per_dataset = 200;
-  double rate_per_dataset = 2.0;
-
-  std::string serving_model = "mistral-7b-v3-awq";
-  double kv_pool_gib = -1;
-  int max_batched_tokens = 2048;
-  std::string embedding_model = "cohere-embed-v3-sim";
-  std::string profiler_model = "gpt-4o";
-
-  SystemKind system = SystemKind::kMetis;
   // Fixed-config baselines may use a different hand-picked config per dataset
-  // (aligned with `datasets`); a single entry applies to all.
-  std::vector<RagConfig> fixed_configs = {RagConfig{SynthesisMethod::kStuff, 10, 100}};
-  MetisSystem::Options metis;
-  JointSchedulerOptions scheduler;  // Design-ablation switches (§ DESIGN.md 5).
-  RetrievalIndexOptions retrieval;  // Shared by every dataset's database.
-  std::optional<bool> override_prefix_sharing;
+  // (aligned with `datasets`; the last entry repeats). Empty: every stack uses
+  // base.fixed_config.
+  std::vector<RagConfig> fixed_configs;
 
   // --- Per-dataset retrieval-depth policies ---
   // The per-piece F1-vs-budget curves differ per dataset profile (RAGGED), so
   // the mixed path can give every dataset stack its OWN
   // RetrievalDepthPolicyOptions budget line instead of the one
-  // `scheduler.depth` line above. Ablation flag: false (default) applies
-  // `scheduler` unchanged to every stack — the shared-curve behaviour,
+  // `base.scheduler.depth` line. Ablation flag: false (default) applies
+  // base.scheduler unchanged to every stack — the shared-curve behaviour,
   // bit-for-bit (every field below is ignored then; parity-tested).
   bool per_dataset_depth = false;
   // How a stack with no explicit override below derives its line:
@@ -244,27 +226,14 @@ struct MixedRunSpec {
   DepthCalibration depth_calibration = DepthCalibration::kProfile;
   DepthCalibratorOptions calibrator;  // Grid/holdout/tolerance for both modes.
   // Full per-stack scheduler overrides, aligned with `datasets`; entry d (when
-  // present and engaged by per_dataset_depth) replaces `scheduler` for
+  // present and engaged by per_dataset_depth) replaces base.scheduler for
   // datasets[d]'s whole stack. Missing/nullopt entries fall back to the
   // calibrated line above.
   std::vector<std::optional<JointSchedulerOptions>> per_dataset_scheduler;
-
-  // --- Multi-tenant overload control (same contract as RunSpec) ---
-  // One controller watches the SHARED engine; all dataset stacks feed it, so
-  // the ladder reacts to aggregate backlog, not per-dataset slices.
-  std::vector<TenantClass> tenants;
-  ArrivalProcess arrivals;  // Applied per dataset stream (kPoisson default).
-  OverloadOptions overload;
-
-  // Live insert/delete stream, applied to EVERY dataset stack's database on
-  // its own decorrelated op stream (requires retrieval.mutable_index).
-  IngestOptions ingest;
-
-  uint64_t seed = 42;
 };
 
 // The scheduler options RunMixedExperiment builds datasets[d]'s stack with:
-// `spec.scheduler` verbatim unless per_dataset_depth engages an override or a
+// `spec.base.scheduler` verbatim unless per_dataset_depth engages an override or a
 // calibrated depth line (see MixedRunSpec). Exposed so benches/tests can see
 // the per-stack budget lines a spec resolves to without running the
 // experiment. `dataset` must be the generated dataset the stack would serve

@@ -51,23 +51,23 @@ void ExpectRunsBitIdentical(const std::vector<RunMetrics>& a,
 
 MixedRunSpec IvfSpec() {
   MixedRunSpec spec;
-  spec.queries_per_dataset = 20;
-  spec.seed = 11;
-  spec.retrieval.backend = RetrievalIndexOptions::Backend::kIvf;
-  spec.retrieval.nlist = 8;
-  spec.retrieval.nprobe = 2;
+  spec.base.num_queries = 20;
+  spec.base.seed = 11;
+  spec.base.retrieval.backend = RetrievalIndexOptions::Backend::kIvf;
+  spec.base.retrieval.nlist = 8;
+  spec.base.retrieval.nprobe = 2;
   return spec;
 }
 
 TEST(MixedRunnerTest, DuplicateDatasetsKeepPerStackProbeStats) {
   MixedRunSpec spec = IvfSpec();
   spec.datasets = {"squad", "squad"};
-  spec.system = SystemKind::kVllmFixed;
+  spec.base.system = SystemKind::kVllmFixed;
   spec.fixed_configs = {RagConfig{SynthesisMethod::kStuff, 4, 0}};
   // Fixed budget B: every search probes exactly B lists, so per-stack
   // accounting is exactly countable.
-  spec.scheduler.adaptive_nprobe = false;
-  spec.scheduler.nprobe_budget = 3;
+  spec.base.scheduler.adaptive_nprobe = false;
+  spec.base.scheduler.nprobe_budget = 3;
 
   auto results = RunMixedExperiment(spec);
   ASSERT_EQ(results.size(), 2u);
@@ -91,10 +91,10 @@ TEST(MixedRunnerTest, DuplicateDatasetsKeepPerStackProbeStats) {
 TEST(MixedRunnerTest, SimDurationAndSpecArePerDataset) {
   MixedRunSpec spec;
   spec.datasets = {"squad", "musique"};
-  spec.queries_per_dataset = 25;
-  spec.rate_per_dataset = 1.5;
-  spec.seed = 11;
-  spec.system = SystemKind::kMetis;
+  spec.base.num_queries = 25;
+  spec.base.arrival_rate = 1.5;
+  spec.base.seed = 11;
+  spec.base.system = SystemKind::kMetis;
 
   auto results = RunMixedExperiment(spec);
   ASSERT_EQ(results.size(), 2u);
@@ -115,10 +115,10 @@ TEST(MixedRunnerTest, SimDurationAndSpecArePerDataset) {
         << "dataset " << d;
     // metrics.spec mirrors the equivalent single-dataset RunSpec.
     EXPECT_EQ(m.spec.dataset, spec.datasets[d]);
-    EXPECT_EQ(m.spec.num_queries, spec.queries_per_dataset);
-    EXPECT_EQ(m.spec.arrival_rate, spec.rate_per_dataset);
-    EXPECT_EQ(m.spec.system, spec.system);
-    EXPECT_EQ(m.spec.seed, spec.seed);
+    EXPECT_EQ(m.spec.num_queries, spec.base.num_queries);
+    EXPECT_EQ(m.spec.arrival_rate, spec.base.arrival_rate);
+    EXPECT_EQ(m.spec.system, spec.base.system);
+    EXPECT_EQ(m.spec.seed, spec.base.seed);
   }
   // The two datasets' Poisson streams start at different instants, so the
   // per-dataset windows must genuinely differ.
@@ -128,12 +128,12 @@ TEST(MixedRunnerTest, SimDurationAndSpecArePerDataset) {
 // per_dataset_depth=false must replay the shared-curve run bit-for-bit no
 // matter what the per-dataset fields are set to.
 TEST(MixedRunnerTest, PerDatasetFieldsInertWhenFlagOff) {
-  MixedRunSpec base = IvfSpec();
-  base.datasets = {"squad", "musique"};
-  base.system = SystemKind::kMetis;
-  auto want = RunMixedExperiment(base);
+  MixedRunSpec ref = IvfSpec();
+  ref.datasets = {"squad", "musique"};
+  ref.base.system = SystemKind::kMetis;
+  auto want = RunMixedExperiment(ref);
 
-  MixedRunSpec loaded = base;
+  MixedRunSpec loaded = ref;
   loaded.per_dataset_depth = false;  // Explicitly off.
   loaded.depth_calibration = MixedRunSpec::DepthCalibration::kOffline;
   loaded.calibrator.holdout_queries = 5;
@@ -151,17 +151,17 @@ TEST(MixedRunnerTest, PerDatasetFieldsInertWhenFlagOff) {
 // The flat (exact) backend has no probe knob: engaging per-dataset depth must
 // not change a single result.
 TEST(MixedRunnerTest, FlatBackendIgnoresPerDatasetDepth) {
-  MixedRunSpec base;
-  base.datasets = {"squad", "qmsum"};
-  base.queries_per_dataset = 20;
-  base.seed = 11;
-  base.system = SystemKind::kMetis;
-  ASSERT_EQ(base.retrieval.backend, RetrievalIndexOptions::Backend::kFlat);
-  auto want = RunMixedExperiment(base);
+  MixedRunSpec ref;
+  ref.datasets = {"squad", "qmsum"};
+  ref.base.num_queries = 20;
+  ref.base.seed = 11;
+  ref.base.system = SystemKind::kMetis;
+  ASSERT_EQ(ref.base.retrieval.backend, RetrievalIndexOptions::Backend::kFlat);
+  auto want = RunMixedExperiment(ref);
 
   for (auto mode : {MixedRunSpec::DepthCalibration::kProfile,
                     MixedRunSpec::DepthCalibration::kOffline}) {
-    MixedRunSpec on = base;
+    MixedRunSpec on = ref;
     on.per_dataset_depth = true;
     on.depth_calibration = mode;
     auto got = RunMixedExperiment(on);
@@ -172,20 +172,20 @@ TEST(MixedRunnerTest, FlatBackendIgnoresPerDatasetDepth) {
 // Engaged on the IVF backend, per-dataset lines must actually reach the
 // index: the per-stack probe distributions change.
 TEST(MixedRunnerTest, PerDatasetDepthChangesIvfProbes) {
-  MixedRunSpec base = IvfSpec();
-  base.datasets = {"squad", "qmsum"};
-  base.system = SystemKind::kMetis;
+  MixedRunSpec ref = IvfSpec();
+  ref.datasets = {"squad", "qmsum"};
+  ref.base.system = SystemKind::kMetis;
   // Shared curve pinned at full depth, fixed probe mode, so any change can
   // only come from the per-dataset lines.
-  base.scheduler.depth.base_probes = 8;
-  base.scheduler.depth.probes_per_piece = 0;
-  base.scheduler.depth.min_budget = 8;
-  base.scheduler.depth.max_budget = 8;
-  base.scheduler.depth.adaptive = false;
-  base.calibrator.adaptive = false;
-  auto shared = RunMixedExperiment(base);
+  ref.base.scheduler.depth.base_probes = 8;
+  ref.base.scheduler.depth.probes_per_piece = 0;
+  ref.base.scheduler.depth.min_budget = 8;
+  ref.base.scheduler.depth.max_budget = 8;
+  ref.base.scheduler.depth.adaptive = false;
+  ref.calibrator.adaptive = false;
+  auto shared = RunMixedExperiment(ref);
 
-  MixedRunSpec on = base;
+  MixedRunSpec on = ref;
   on.per_dataset_depth = true;
   on.depth_calibration = MixedRunSpec::DepthCalibration::kProfile;
   auto per_dataset = RunMixedExperiment(on);
@@ -206,26 +206,26 @@ TEST(MixedRunnerTest, PerDatasetDepthChangesIvfProbes) {
 TEST(MixedRunnerTest, ExplicitOverrideBeatsCalibration) {
   MixedRunSpec spec = IvfSpec();
   spec.datasets = {"squad", "musique"};
-  spec.system = SystemKind::kMetis;
+  spec.base.system = SystemKind::kMetis;
   spec.per_dataset_depth = true;
-  JointSchedulerOptions override_options = spec.scheduler;
+  JointSchedulerOptions override_options = spec.base.scheduler;
   override_options.depth.base_probes = 5;
   override_options.depth.probes_per_piece = 0;
   override_options.depth.min_budget = 5;
   override_options.depth.max_budget = 5;
   spec.per_dataset_scheduler = {override_options, std::nullopt};
 
-  auto squad = GetOrGenerateDataset("squad", spec.queries_per_dataset, spec.embedding_model,
-                                    spec.seed, spec.retrieval);
-  auto musique = GetOrGenerateDataset("musique", spec.queries_per_dataset,
-                                      spec.embedding_model, spec.seed, spec.retrieval);
+  const RunSpec& b = spec.base;
+  auto squad = GetOrGenerateDataset("squad", b.num_queries, b.embedding_model, b.seed, b.retrieval);
+  auto musique =
+      GetOrGenerateDataset("musique", b.num_queries, b.embedding_model, b.seed, b.retrieval);
   JointSchedulerOptions o0 = EffectiveSchedulerOptions(spec, 0, *squad);
   EXPECT_EQ(o0.depth.base_probes, 5u);
   EXPECT_EQ(o0.depth.max_budget, 5u);
   JointSchedulerOptions o1 = EffectiveSchedulerOptions(spec, 1, *musique);
   DepthCalibrator calibrator(spec.calibrator);
   RetrievalDepthPolicyOptions derived =
-      calibrator.DeriveFromProfile(musique->profile(), spec.retrieval.nlist);
+      calibrator.DeriveFromProfile(musique->profile(), spec.base.retrieval.nlist);
   EXPECT_EQ(o1.depth.base_probes, derived.base_probes);
   EXPECT_EQ(o1.depth.probes_per_piece, derived.probes_per_piece);
   EXPECT_EQ(o1.depth.min_budget, derived.min_budget);
@@ -234,8 +234,8 @@ TEST(MixedRunnerTest, ExplicitOverrideBeatsCalibration) {
   MixedRunSpec off = spec;
   off.per_dataset_depth = false;
   JointSchedulerOptions shared = EffectiveSchedulerOptions(off, 0, *squad);
-  EXPECT_EQ(shared.depth.base_probes, spec.scheduler.depth.base_probes);
-  EXPECT_EQ(shared.depth.max_budget, spec.scheduler.depth.max_budget);
+  EXPECT_EQ(shared.depth.base_probes, spec.base.scheduler.depth.base_probes);
+  EXPECT_EQ(shared.depth.max_budget, spec.base.scheduler.depth.max_budget);
 }
 
 TEST(DepthCalibratorTest, DeriveFromProfileTracksDatasetShape) {
@@ -370,24 +370,24 @@ TEST(MixedRunnerTest, ClearDatasetCacheDropsEntries) {
 }
 
 // Pins the per-dataset arrival seeding: dataset d's stream is the historical
-// Poisson stream under seed SplitMix64(spec.seed ^ (0xD00D + d)) — mixed
+// Poisson stream under seed SplitMix64(spec.base.seed ^ (0xD00D + d)) — mixed
 // through SplitMix64 so structurally related spec seeds (e.g. seed and
 // seed ^ 1) cannot produce correlated per-dataset streams the way the old
 // raw `seed ^ (0xD00D + d)` Rng seeding could.
 TEST(MixedRunnerTest, PerDatasetArrivalStreamsUseSplitMixedSeeds) {
   MixedRunSpec spec;
   spec.datasets = {"squad", "musique"};
-  spec.queries_per_dataset = 25;
-  spec.rate_per_dataset = 1.5;
-  spec.seed = 11;
-  spec.system = SystemKind::kMetis;
+  spec.base.num_queries = 25;
+  spec.base.arrival_rate = 1.5;
+  spec.base.seed = 11;
+  spec.base.system = SystemKind::kMetis;
 
   auto results = RunMixedExperiment(spec);
   ASSERT_EQ(results.size(), 2u);
   for (size_t d = 0; d < results.size(); ++d) {
-    uint64_t state = spec.seed ^ (0xD00Dull + static_cast<uint64_t>(d));
-    std::vector<RagQuery> expected(static_cast<size_t>(spec.queries_per_dataset));
-    AssignPoissonArrivals(expected, spec.rate_per_dataset, SplitMix64(state));
+    uint64_t state = spec.base.seed ^ (0xD00Dull + static_cast<uint64_t>(d));
+    std::vector<RagQuery> expected(static_cast<size_t>(spec.base.num_queries));
+    AssignPoissonArrivals(expected, spec.base.arrival_rate, SplitMix64(state));
     std::vector<double> want, got;
     for (const RagQuery& q : expected) {
       want.push_back(q.arrival_time);

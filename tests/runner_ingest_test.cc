@@ -41,7 +41,7 @@ TEST(RunnerIngestTest, IngestRunServesQueriesAndCountsOps) {
   // Enough inserts to roll the memtable over at least once.
   EXPECT_GT(m.ingest.seals, 0u);
   EXPECT_EQ(m.ingest.tombstones, m.ingest.deletes);
-  EXPECT_GT(m.ingest.live_chunks, 0u);
+  EXPECT_GT(m.ingest.live_rows, 0u);
   // The depth knob still reaches the (mutable) index.
   EXPECT_GT(m.mean_probes, 0.0);
 }
@@ -58,7 +58,7 @@ TEST(RunnerIngestTest, IngestRunIsDeterministic) {
   EXPECT_EQ(a.ingest.seals, b.ingest.seals);
   EXPECT_EQ(a.ingest.compactions, b.ingest.compactions);
   EXPECT_EQ(a.ingest.retrains, b.ingest.retrains);
-  EXPECT_EQ(a.ingest.live_chunks, b.ingest.live_chunks);
+  EXPECT_EQ(a.ingest.live_rows, b.ingest.live_rows);
 }
 
 // With no ingest stream, routing the same spec through the mutable index must
@@ -82,8 +82,8 @@ TEST(RunnerIngestTest, MutableIndexWithoutIngestMatchesStaticRun) {
     EXPECT_EQ(mut.records[i].result.f1, sta.records[i].result.f1);
   }
   // The mutable run reports gauges; the static run reports zeros.
-  EXPECT_GT(mut.ingest.live_chunks, 0u);
-  EXPECT_EQ(sta.ingest.live_chunks, 0u);
+  EXPECT_GT(mut.ingest.live_rows, 0u);
+  EXPECT_EQ(sta.ingest.live_rows, 0u);
 }
 
 // Ingest-only run: zero queries, zero completions. Every metric accessor must
@@ -134,20 +134,45 @@ TEST(RunnerIngestTest, ClosedLoopZeroQueriesIsDefined) {
   EXPECT_EQ(m.goodput_qps, 0.0);
 }
 
+// Closed loop + ingest: the op stream keeps its own timeline instead of
+// draining inside the first query, so each query starts the instant the
+// previous one finishes (its e2e delay is exactly the gap between finishes),
+// and every op still lands.
+TEST(RunnerIngestTest, ClosedLoopIngestKeepsQueriesBackToBack) {
+  RunSpec spec;
+  spec.dataset = "squad";
+  spec.num_queries = 6;
+  spec.arrival_rate = -1;
+  spec.system = SystemKind::kVllmFixed;
+  spec.seed = 7;
+  spec.retrieval.mutable_index = true;
+  spec.ingest.enabled = true;
+  spec.ingest.num_ops = 40;
+  spec.ingest.rate = 4.0;
+  RunMetrics m = RunExperiment(spec);
+  ASSERT_EQ(m.records.size(), 6u);
+  SimTime previous_finish = 0;
+  for (const QueryRecord& rec : m.records) {
+    EXPECT_EQ(rec.finish_time - previous_finish, rec.e2e_delay) << "query " << rec.query_id;
+    previous_finish = rec.finish_time;
+  }
+  EXPECT_EQ(m.ingest.inserts + m.ingest.deletes, 40u);
+}
+
 // Mixed-workload ingest: every stack gets its own decorrelated op stream and
 // reports its own lifecycle gauges.
 TEST(RunnerIngestTest, MixedIngestRunsPerStackStreams) {
   MixedRunSpec spec;
   spec.datasets = {"squad", "musique"};
-  spec.queries_per_dataset = 10;
-  spec.rate_per_dataset = 2.0;
-  spec.system = SystemKind::kVllmFixed;
-  spec.seed = 19;
-  spec.retrieval.mutable_index = true;
-  spec.retrieval.mutation.memtable_rows = 32;
-  spec.ingest.enabled = true;
-  spec.ingest.num_ops = 60;
-  spec.ingest.rate = 15.0;
+  spec.base.num_queries = 10;
+  spec.base.arrival_rate = 2.0;
+  spec.base.system = SystemKind::kVllmFixed;
+  spec.base.seed = 19;
+  spec.base.retrieval.mutable_index = true;
+  spec.base.retrieval.mutation.memtable_rows = 32;
+  spec.base.ingest.enabled = true;
+  spec.base.ingest.num_ops = 60;
+  spec.base.ingest.rate = 15.0;
 
   std::vector<RunMetrics> out = RunMixedExperiment(spec);
   ASSERT_EQ(out.size(), 2u);

@@ -91,9 +91,9 @@ TEST(RunnerTest, ParrotIsFasterThanVllmAtSameQuality) {
 TEST(RunnerTest, MixedRunReportsPerDataset) {
   MixedRunSpec spec;
   spec.datasets = {"squad", "musique"};
-  spec.queries_per_dataset = 25;
-  spec.seed = 11;
-  spec.system = SystemKind::kMetis;
+  spec.base.num_queries = 25;
+  spec.base.seed = 11;
+  spec.base.system = SystemKind::kMetis;
   auto results = RunMixedExperiment(spec);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].records.size(), 25u);
@@ -104,9 +104,9 @@ TEST(RunnerTest, MixedRunReportsPerDataset) {
 TEST(RunnerTest, MixedContentionRaisesDelay) {
   MixedRunSpec spec;
   spec.datasets = {"musique"};
-  spec.queries_per_dataset = 40;
-  spec.seed = 11;
-  spec.system = SystemKind::kVllmFixed;
+  spec.base.num_queries = 40;
+  spec.base.seed = 11;
+  spec.base.system = SystemKind::kVllmFixed;
   spec.fixed_configs = {RagConfig{SynthesisMethod::kStuff, 8, 0}};
   double alone = RunMixedExperiment(spec)[0].mean_delay();
   spec.datasets = {"musique", "kg_rag_finsec", "qmsum"};
@@ -142,11 +142,11 @@ TEST(RunnerTest, DefaultKvPoolScalesWithModel) {
 // quality at visibly lower delay under contention.
 TEST(RunnerIntegrationTest, MetisBeatsAdaptiveOnDelayAtParity) {
   MixedRunSpec spec;
-  spec.queries_per_dataset = 60;
-  spec.seed = 11;
-  spec.system = SystemKind::kMetis;
+  spec.base.num_queries = 60;
+  spec.base.seed = 11;
+  spec.base.system = SystemKind::kMetis;
   auto metis = RunMixedExperiment(spec);
-  spec.system = SystemKind::kAdaptiveRag;
+  spec.base.system = SystemKind::kAdaptiveRag;
   auto adaptive = RunMixedExperiment(spec);
   double metis_delay = 0, adaptive_delay = 0, metis_f1 = 0, adaptive_f1 = 0;
   for (size_t d = 0; d < metis.size(); ++d) {

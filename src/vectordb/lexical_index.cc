@@ -31,33 +31,52 @@ LexicalIndex::LexicalIndex(size_t num_shards, size_t memtable_rows, size_t compa
   shards_.resize(num_shards);
 }
 
-void LexicalIndex::Add(ChunkId id, const std::string& text) {
-  METIS_CHECK(docs_.find(id) == docs_.end());
+LexicalIndex::AnalyzedDoc LexicalIndex::Analyze(std::string_view text) {
   std::vector<std::string> tokens = Tokenize(text);
-
-  DocInfo info;
-  info.len = static_cast<int32_t>(tokens.size());
-  info.order = next_order_++;
-  info.live = true;
-  std::sort(tokens.begin(), tokens.end());
-  for (size_t i = 0; i < tokens.size();) {
+  AnalyzedDoc doc;
+  doc.len = static_cast<int32_t>(tokens.size());
+  // Sorting views moves 16 bytes per swap instead of whole strings.
+  std::vector<std::string_view> sorted(tokens.begin(), tokens.end());
+  std::sort(sorted.begin(), sorted.end());
+  doc.terms.reserve(sorted.size());
+  for (size_t i = 0; i < sorted.size();) {
     size_t j = i;
-    while (j < tokens.size() && tokens[j] == tokens[i]) ++j;
-    info.terms.emplace_back(tokens[i], static_cast<int32_t>(j - i));
+    while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
+    doc.terms.emplace_back(std::string(sorted[i]), static_cast<int32_t>(j - i));
     i = j;
   }
+  return doc;
+}
+
+void LexicalIndex::Add(ChunkId id, const std::string& text) { AddAnalyzed(id, Analyze(text)); }
+
+void LexicalIndex::AddAnalyzed(ChunkId id, const AnalyzedDoc& doc) {
+  auto [it, inserted] = docs_.try_emplace(id);
+  METIS_CHECK(inserted);
+  DocInfo& info = it->second;
+  info.len = doc.len;
+  info.order = next_order_++;
+  info.live = true;
+  info.terms.reserve(doc.terms.size());
 
   Shard& shard = shards_[ShardOfId(id, shards_.size())];
-  for (const auto& [term, tf] : info.terms) {
-    shard.memtable[term].push_back(Posting{id, tf, info.len, info.order});
+  for (const auto& [text, tf] : doc.terms) {
+    // Ids are assigned in first-use order, so the same Add sequence always
+    // builds the same dictionary.
+    auto [ti, fresh] = term_ids_.try_emplace(text, static_cast<TermId>(df_.size()));
+    if (fresh) {
+      df_.push_back(0);
+    }
+    TermId term = ti->second;
     ++df_[term];
+    shard.memtable[term].push_back(Posting{id, tf, doc.len, info.order});
+    info.terms.emplace_back(term, tf);
   }
-  ++shard.memtable_docs;
+  shard.memtable_ids.push_back(id);
   ++live_docs_;
-  total_live_len_ += static_cast<uint64_t>(info.len);
-  docs_.emplace(id, std::move(info));
+  total_live_len_ += static_cast<uint64_t>(doc.len);
 
-  if (shard.memtable_docs >= memtable_rows_) {
+  if (shard.memtable_ids.size() >= memtable_rows_) {
     SealMemtable(shard);
     MaybeCompact(shard);
   }
@@ -74,18 +93,14 @@ bool LexicalIndex::Remove(ChunkId id) {
   total_live_len_ -= static_cast<uint64_t>(info.len);
   for (const auto& [term, tf] : info.terms) {
     (void)tf;
-    auto dfi = df_.find(term);
-    METIS_CHECK(dfi != df_.end() && dfi->second > 0);
-    if (--dfi->second == 0) {
-      df_.erase(dfi);
-    }
+    METIS_CHECK(df_[term] > 0);
+    --df_[term];
   }
 
   Shard& shard = shards_[ShardOfId(id, shards_.size())];
   if (!info.sealed) {
-    // Memtable postings are mutable: erase them in place. Surviving posting
-    // order within a vector is irrelevant to results (scores accumulate per
-    // document, not per vector position).
+    // Memtable postings are mutable: erase them in place, keeping the
+    // survivors in insertion order.
     for (const auto& [term, tf] : info.terms) {
       (void)tf;
       auto pi = shard.memtable.find(term);
@@ -98,8 +113,9 @@ bool LexicalIndex::Remove(ChunkId id) {
         shard.memtable.erase(pi);
       }
     }
-    METIS_CHECK(shard.memtable_docs > 0);
-    --shard.memtable_docs;
+    auto mi = std::find(shard.memtable_ids.begin(), shard.memtable_ids.end(), id);
+    METIS_CHECK(mi != shard.memtable_ids.end());
+    shard.memtable_ids.erase(mi);
   } else {
     // Sealed postings are immutable: mask via the shard tombstone set until
     // compaction rewrites the segments without them.
@@ -110,61 +126,92 @@ bool LexicalIndex::Remove(ChunkId id) {
 }
 
 void LexicalIndex::SealMemtable(Shard& shard) {
+  // Every doc in this memtable leaves it, zero-token docs included.
+  for (ChunkId id : shard.memtable_ids) {
+    docs_.find(id)->second.sealed = true;
+  }
+  shard.memtable_ids.clear();
   if (shard.memtable.empty()) {
-    shard.memtable_docs = 0;
     return;
   }
+  using Entry = std::pair<const TermId, std::vector<Posting>>;
+  std::vector<const Entry*> lists;
+  lists.reserve(shard.memtable.size());
+  size_t total = 0;
+  for (const Entry& entry : shard.memtable) {
+    lists.push_back(&entry);
+    total += entry.second.size();
+  }
+  METIS_CHECK(total <= UINT32_MAX);
+  std::sort(lists.begin(), lists.end(),
+            [](const Entry* a, const Entry* b) { return a->first < b->first; });
   Segment seg;
-  seg.postings = std::move(shard.memtable);
-  seg.docs = shard.memtable_docs;
+  seg.terms.reserve(lists.size());
+  seg.offsets.reserve(lists.size() + 1);
+  seg.postings.reserve(total);
+  for (const Entry* entry : lists) {
+    seg.terms.push_back(entry->first);
+    seg.postings.insert(seg.postings.end(), entry->second.begin(), entry->second.end());
+    seg.offsets.push_back(static_cast<uint32_t>(seg.postings.size()));
+  }
   shard.segments.push_back(std::move(seg));
   shard.memtable.clear();
-  shard.memtable_docs = 0;
   ++seals_;
-  // Every doc that was in this memtable is now sealed.
-  for (auto& [term, postings] : shard.segments.back().postings) {
-    (void)term;
-    for (const Posting& p : postings) {
-      docs_[p.id].sealed = true;
-    }
-  }
 }
 
 void LexicalIndex::MaybeCompact(Shard& shard) {
   if (shard.segments.size() < compact_segments_) {
     return;
   }
-  Segment merged;
   IdFilter dead{shard.tombstones.data(), shard.tombstones.data() + shard.tombstones.size()};
-  std::vector<ChunkId> live_docs_seen;
-  for (Segment& seg : shard.segments) {
-    for (auto& [term, postings] : seg.postings) {
-      auto& out = merged.postings[term];
-      for (const Posting& p : postings) {
-        if (dead.empty() || !dead.contains(p.id)) {
-          out.push_back(p);
-        }
-      }
-      if (out.empty()) {
-        merged.postings.erase(term);
+  size_t term_bound = 0, total = 0;
+  for (const Segment& seg : shard.segments) {
+    term_bound += seg.terms.size();
+    total += seg.postings.size();
+  }
+  METIS_CHECK(total <= UINT32_MAX);
+  Segment merged;
+  merged.terms.reserve(term_bound);
+  merged.offsets.reserve(term_bound + 1);
+  merged.postings.reserve(total);
+  // One linear merge over the sorted term ids. Segments are visited in
+  // creation order and each slice is in insertion order, so every merged
+  // slice comes out in insertion order with no per-term sort.
+  std::vector<size_t> cursor(shard.segments.size(), 0);
+  for (;;) {
+    bool any = false;
+    TermId term = 0;
+    for (size_t s = 0; s < shard.segments.size(); ++s) {
+      const Segment& seg = shard.segments[s];
+      if (cursor[s] < seg.terms.size() && (!any || seg.terms[cursor[s]] < term)) {
+        term = seg.terms[cursor[s]];
+        any = true;
       }
     }
+    if (!any) {
+      break;
+    }
+    for (size_t s = 0; s < shard.segments.size(); ++s) {
+      const Segment& seg = shard.segments[s];
+      size_t i = cursor[s];
+      if (i == seg.terms.size() || seg.terms[i] != term) {
+        continue;
+      }
+      for (uint32_t p = seg.offsets[i]; p < seg.offsets[i + 1]; ++p) {
+        const Posting& posting = seg.postings[p];
+        if (dead.empty() || !dead.contains(posting.id)) {
+          merged.postings.push_back(posting);
+        }
+      }
+      ++cursor[s];
+    }
+    if (merged.postings.size() > merged.offsets.back()) {
+      merged.terms.push_back(term);
+      merged.offsets.push_back(static_cast<uint32_t>(merged.postings.size()));
+    }
   }
-  // Normalize posting order to insertion order inside the compacted segment
-  // (not required for result determinism — scores accumulate per doc — but it
-  // keeps segment contents canonical for any prior segment layout).
-  std::vector<ChunkId> ids;
-  for (auto& [term, postings] : merged.postings) {
-    (void)term;
-    std::sort(postings.begin(), postings.end(),
-              [](const Posting& a, const Posting& b) { return a.order < b.order; });
-    for (const Posting& p : postings) ids.push_back(p.id);
-  }
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  merged.docs = ids.size();
   shard.segments.clear();
-  if (!merged.postings.empty()) {
+  if (!merged.terms.empty()) {
     shard.segments.push_back(std::move(merged));
   }
   // Tombstoned ids can only have lived in sealed segments (memtable removes
@@ -179,27 +226,31 @@ std::vector<LexicalIndex::Scored> LexicalIndex::ScoreShard(
     double avgdl, uint64_t* postings_scanned, uint64_t* docs_scored) const {
   IdFilter dead{shard.tombstones.data(), shard.tombstones.data() + shard.tombstones.size()};
   std::unordered_map<ChunkId, Scored> acc;
-  auto scan = [&](const PostingMap& postings, const QueryTerm& qt) {
-    auto it = postings.find(qt.term);
-    if (it == postings.end()) {
-      return;
-    }
-    for (const Posting& p : it->second) {
+  auto scan = [&](const Posting* begin, const Posting* end, double idf) {
+    for (const Posting* p = begin; p != end; ++p) {
       ++*postings_scanned;
-      if (!dead.empty() && dead.contains(p.id)) continue;
-      if (!exclude.empty() && exclude.contains(p.id)) continue;
-      auto [ai, inserted] = acc.try_emplace(p.id, Scored{0.0, p.order, p.id});
+      if (!dead.empty() && dead.contains(p->id)) continue;
+      if (!exclude.empty() && exclude.contains(p->id)) continue;
+      auto [ai, inserted] = acc.try_emplace(p->id, Scored{0.0, p->order, p->id});
       (void)inserted;
-      ai->second.score += TermScore(qt.idf, p.tf, p.doc_len, avgdl);
+      ai->second.score += TermScore(idf, p->tf, p->doc_len, avgdl);
     }
   };
-  // Terms outer (sorted by the caller), structures inner: a document's
-  // postings live in exactly one structure, so its score accumulates in
-  // term-sorted order no matter how the shard's lifecycle has arranged them.
+  // Terms outer (string-sorted by the caller), structures inner: a
+  // document's postings live in exactly one structure, so its score
+  // accumulates in term-sorted order no matter how the shard's lifecycle has
+  // arranged them.
   for (const QueryTerm& qt : terms) {
-    scan(shard.memtable, qt);
+    auto mi = shard.memtable.find(qt.term);
+    if (mi != shard.memtable.end()) {
+      scan(mi->second.data(), mi->second.data() + mi->second.size(), qt.idf);
+    }
     for (const Segment& seg : shard.segments) {
-      scan(seg.postings, qt);
+      auto ti = std::lower_bound(seg.terms.begin(), seg.terms.end(), qt.term);
+      if (ti == seg.terms.end() || *ti != qt.term) continue;
+      size_t i = static_cast<size_t>(ti - seg.terms.begin());
+      scan(seg.postings.data() + seg.offsets[i], seg.postings.data() + seg.offsets[i + 1],
+           qt.idf);
     }
   }
   *docs_scored += acc.size();
@@ -229,7 +280,8 @@ std::vector<SearchHit> LexicalIndex::Search(const std::string& query_text, size_
   if (k == 0 || live_docs_ == 0) {
     return {};
   }
-  // Sorted unique query terms with live-set idf. Terms with df == 0 have no
+  // Unique query terms in string-sorted order (the accumulation order that
+  // fixes each score's bits) with live-set idf. Terms with df == 0 have no
   // live postings anywhere and are dropped up front.
   std::vector<std::string> tokens = Tokenize(query_text);
   std::sort(tokens.begin(), tokens.end());
@@ -237,12 +289,12 @@ std::vector<SearchHit> LexicalIndex::Search(const std::string& query_text, size_
   double n = static_cast<double>(live_docs_);
   std::vector<QueryTerm> terms;
   terms.reserve(tokens.size());
-  for (std::string& t : tokens) {
-    auto it = df_.find(t);
-    if (it == df_.end()) continue;
-    double df = static_cast<double>(it->second);
+  for (const std::string& t : tokens) {
+    auto it = term_ids_.find(t);
+    if (it == term_ids_.end() || df_[it->second] == 0) continue;
+    double df = static_cast<double>(df_[it->second]);
     double idf = std::log((n - df + 0.5) / (df + 0.5) + 1.0);
-    terms.push_back(QueryTerm{std::move(t), idf});
+    terms.push_back(QueryTerm{it->second, idf});
   }
   if (terms.empty()) {
     return {};
@@ -305,7 +357,7 @@ size_t LexicalIndex::num_segments() const {
 size_t LexicalIndex::memtable_docs() const {
   size_t n = 0;
   for (const Shard& s : shards_) {
-    n += s.memtable_docs;
+    n += s.memtable_ids.size();
   }
   return n;
 }

@@ -13,14 +13,25 @@
 // list, so a score computed at any point in the index's lifecycle is
 // bit-identical to a fresh build over the same live set.
 //
+// Storage: an append-only term dictionary interns every term string to a
+// TermId the first time any document uses it; df is a vector indexed by
+// TermId and each document keeps its (TermId, tf) list. A shard's memtable
+// is a TermId -> postings map. Sealing sorts the memtable's term ids once and
+// lays the postings out as an immutable CSR segment (sorted term ids,
+// offsets, one flat Posting array); compaction is one linear merge over the
+// shard's segments in creation order, dropping tombstoned postings. Each
+// posting slice is in insertion order throughout, because a shard's segments
+// partition its docs by Add order.
+//
 // Determinism contract (mirrors the dense substrate):
 //   - Documents are hash-partitioned across shards by the same ShardOfId
 //     used by the dense IndexShards, and each shard runs the memtable ->
 //     sealed segment -> compaction lifecycle of MutableIndexOptions. None of
 //     that structure is visible in results: a document's postings live in
 //     exactly one structure at a time, query terms are deduplicated and
-//     iterated in sorted order, and per-document scores accumulate in double
-//     — so each document's score is a pure function of (its term
+//     iterated in STRING-sorted order (never TermId order, which depends on
+//     which document first used a term), and per-document scores accumulate
+//     in double — so each document's score is a pure function of (its term
 //     frequencies, the live-set statistics), invariant to shard count,
 //     segment layout, and thread count.
 //   - Ranking runs under the (score descending, insertion order ascending)
@@ -38,7 +49,9 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/thread_pool.h"
@@ -61,9 +74,20 @@ class LexicalIndex {
   explicit LexicalIndex(size_t num_shards = 1, size_t memtable_rows = 256,
                         size_t compact_segments = 8);
 
+  // A document's text as the index sees it: its token count and its unique
+  // terms in string-sorted order with their counts.
+  struct AnalyzedDoc {
+    int32_t len = 0;
+    std::vector<std::pair<std::string, int32_t>> terms;
+  };
   // Tokenizes `text` (src/text/ tokenizer — the same tokens F1 scoring and
-  // the profiler see) and indexes the document. Ids must be unique.
+  // the profiler see). Pure, so bulk loads can analyze on a pool.
+  static AnalyzedDoc Analyze(std::string_view text);
+
+  // Indexes the document. Ids must be unique. Add(id, text) is
+  // AddAnalyzed(id, Analyze(text)).
   void Add(ChunkId id, const std::string& text);
+  void AddAnalyzed(ChunkId id, const AnalyzedDoc& doc);
 
   // Tombstones a document: it never appears in results again and the live
   // statistics (N, avgdl, df) are decremented exactly. Returns true when the
@@ -91,23 +115,28 @@ class LexicalIndex {
   void ResetSearchStats() const;
 
  private:
+  using TermId = uint32_t;
+
   struct Posting {
     ChunkId id;
     int32_t tf;
     int32_t doc_len;
     uint32_t order;  // Global insertion order (tie-break rank).
   };
-  using PostingMap = std::unordered_map<std::string, std::vector<Posting>>;
 
+  // Immutable CSR posting lists: the postings of terms[i] (ascending) are
+  // postings[offsets[i], offsets[i + 1]), in insertion order.
   struct Segment {
-    PostingMap postings;
-    size_t docs = 0;  // Docs sealed into this segment (live + dead).
+    std::vector<TermId> terms;
+    std::vector<uint32_t> offsets{0};
+    std::vector<Posting> postings;
   };
 
   struct Shard {
-    PostingMap memtable;
-    size_t memtable_docs = 0;
-    std::vector<Segment> segments;
+    std::unordered_map<TermId, std::vector<Posting>> memtable;
+    // Live docs added since the last seal, zero-token ones included.
+    std::vector<ChunkId> memtable_ids;
+    std::vector<Segment> segments;    // Creation order = insertion order.
     std::vector<ChunkId> tombstones;  // Sorted; ids masked in sealed segments.
   };
 
@@ -115,10 +144,10 @@ class LexicalIndex {
     int32_t len = 0;
     uint32_t order = 0;
     bool live = false;
-    bool sealed = false;  // Postings moved out of the memtable.
-    // Sorted unique terms with counts — what Remove needs to decrement df and
-    // erase memtable postings without re-tokenizing.
-    std::vector<std::pair<std::string, int32_t>> terms;
+    bool sealed = false;  // Left the memtable.
+    // Unique terms with counts — what Remove needs to decrement df and erase
+    // memtable postings without re-tokenizing.
+    std::vector<std::pair<TermId, int32_t>> terms;
   };
 
   void SealMemtable(Shard& shard);
@@ -131,7 +160,7 @@ class LexicalIndex {
     ChunkId id;
   };
   struct QueryTerm {
-    std::string term;
+    TermId term;
     double idf;
   };
   std::vector<Scored> ScoreShard(const Shard& shard, const std::vector<QueryTerm>& terms,
@@ -142,7 +171,8 @@ class LexicalIndex {
   size_t compact_segments_;
   std::vector<Shard> shards_;
   std::unordered_map<ChunkId, DocInfo> docs_;
-  std::unordered_map<std::string, int64_t> df_;
+  std::unordered_map<std::string, TermId> term_ids_;  // Append-only.
+  std::vector<int64_t> df_;                           // Live df, by TermId.
   size_t live_docs_ = 0;
   uint64_t total_live_len_ = 0;
   uint32_t next_order_ = 0;

@@ -762,10 +762,10 @@ ChunkId VectorDatabase::AddChunk(Chunk chunk) {
 }
 
 std::vector<ChunkId> VectorDatabase::AddChunks(std::vector<Chunk> chunks, ThreadPool* pool) {
-  // Embedding (tokenize + hash) dominates bulk load and each text is
-  // independent, so the batch shards across the pool; indexing then runs
-  // serially in order, preserving AddChunk-for-AddChunk identical ids and
-  // insertion orders.
+  // Embedding and lexical analysis (tokenize, sort, count) dominate bulk
+  // load and each text is independent, so the batch shards across the pool;
+  // indexing then runs serially in order, preserving AddChunk-for-AddChunk
+  // identical ids, insertion orders and term ids.
   std::vector<std::string> texts;
   texts.reserve(chunks.size());
   for (const Chunk& c : chunks) {
@@ -774,16 +774,31 @@ std::vector<ChunkId> VectorDatabase::AddChunks(std::vector<Chunk> chunks, Thread
   std::vector<Embedding> embeddings = embedder_.EmbedBatch(texts, pool);
   std::vector<ChunkId> ids;
   ids.reserve(chunks.size());
-  for (size_t i = 0; i < chunks.size(); ++i) {
-    Chunk& chunk = chunks[i];
-    chunk.id = static_cast<ChunkId>(chunks_.size());
-    index_->Add(chunk.id, embeddings[i]);
+  // Lexical analysis runs a block at a time, so the analyzed terms of a whole
+  // corpus are never resident at once.
+  constexpr size_t kAnalyzeBlock = 1024;
+  std::vector<LexicalIndex::AnalyzedDoc> analyzed;
+  for (size_t block = 0; block < chunks.size(); block += kAnalyzeBlock) {
+    size_t block_end = std::min(chunks.size(), block + kAnalyzeBlock);
     if (lexical_ != nullptr) {
-      lexical_->Add(chunk.id, chunk.text);
+      analyzed.assign(block_end - block, {});
+      ParallelForOrInline(pool, analyzed.size(), [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          analyzed[i] = LexicalIndex::Analyze(texts[block + i]);
+        }
+      });
     }
-    chunks_.push_back(std::move(chunk));
-    deleted_.push_back(false);
-    ids.push_back(chunks_.back().id);
+    for (size_t i = block; i < block_end; ++i) {
+      Chunk& chunk = chunks[i];
+      chunk.id = static_cast<ChunkId>(chunks_.size());
+      index_->Add(chunk.id, embeddings[i]);
+      if (lexical_ != nullptr) {
+        lexical_->AddAnalyzed(chunk.id, analyzed[i - block]);
+      }
+      chunks_.push_back(std::move(chunk));
+      deleted_.push_back(false);
+      ids.push_back(chunks_.back().id);
+    }
   }
   return ids;
 }
